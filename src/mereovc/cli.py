@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from statistics import fmean
@@ -53,14 +54,27 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """A float flag value; nan and infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite real number")
+    return value
+
+
 def _add_protocol_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--epsilon", default="1", help="degree threshold, rational p/q")
     sub.add_argument("--delta", type=int, default=1, help="radius scale, positive integer")
-    sub.add_argument("--eta", type=float, default=0.5, help="localization learning rate in (0,1)")
+    sub.add_argument("--eta", type=_finite_float, default=0.5,
+                     help="localization learning rate in (0,1)")
     sub.add_argument("--mode", choices=["exact", "at_least"], default="exact")
     sub.add_argument("--tie", choices=["random", "lowest"], default="random")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tolerance", type=float, default=1e-6, help="radius stopping tolerance")
+    sub.add_argument("--tolerance", type=_finite_float, default=1e-6,
+                     help="radius stopping tolerance")
     sub.add_argument("--decision", default=None, metavar="COLUMN",
                      help="decision column name (default: last column)")
     sub.add_argument("--output", choices=["json", "csv"], default="json")
@@ -78,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("table", help="CSV decision table")
     predict.add_argument("--omega", required=True,
                          help='new object: inline "f1=1,f2=2" or a one-row CSV file')
-    predict.add_argument("--expert", type=float, default=None,
+    predict.add_argument("--expert", type=_finite_float, default=None,
                          help="expert decision value; enables rewards and regret")
     _add_protocol_flags(predict)
 
@@ -108,15 +122,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> PredictionConfig:
-    return PredictionConfig(
-        epsilon=parse_rational(args.epsilon),
-        delta=args.delta,
-        mode=args.mode,
-        tie_strategy=args.tie,
-        rng_seed=args.seed,
-        eta=args.eta,
-        radius_tolerance=args.tolerance,
-    )
+    """The protocol config; an out-of-range flag value is a usage error."""
+    try:
+        return PredictionConfig(
+            epsilon=parse_rational(args.epsilon),
+            delta=args.delta,
+            mode=args.mode,
+            tie_strategy=args.tie,
+            rng_seed=args.seed,
+            eta=args.eta,
+            radius_tolerance=args.tolerance,
+        )
+    except DomainError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _config_echo(args: argparse.Namespace, config: PredictionConfig) -> dict:
@@ -133,7 +151,7 @@ def _config_echo(args: argparse.Namespace, config: PredictionConfig) -> dict:
 
 
 def _load_table(path: str, decision: Optional[str]) -> DecisionSystem:
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         return load_decision_system(handle, decision_column=decision)
 
 
@@ -149,7 +167,7 @@ def _parse_omega(source: str, system: DecisionSystem) -> tuple[NewObject, dict]:
                 raise UsageError(f"feature {name.strip()!r} is assigned twice in --omega")
             mapping[name.strip()] = value
     else:
-        with open(source, newline="", encoding="utf-8") as handle:
+        with open(source, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
         rows = [r for r in rows if r]
         if len(rows) != 2:
@@ -173,6 +191,16 @@ def _parse_omega(source: str, system: DecisionSystem) -> tuple[NewObject, dict]:
         raise UsageError("; ".join(parts))
     ordered = {f: mapping[f] for f in system.features}
     return NewObject.from_mapping(ordered), ordered
+
+
+def _dumps(report) -> str:
+    """The report as strict JSON; a non-finite number is a domain error."""
+    try:
+        return json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:
+        raise DomainError(
+            "the report holds a number outside the float range, so it is not valid JSON"
+        ) from None
 
 
 def _forecast_dict(f: AgentForecast, scored: bool) -> dict:
@@ -223,7 +251,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             writer.writerow(_forecast_dict(f, scored))
         print(out.getvalue(), end="")
     else:
-        print(json.dumps(report, indent=2))
+        print(_dumps(report))
     return 0
 
 
@@ -284,7 +312,7 @@ def cmd_evaluate_loo(args: argparse.Namespace) -> int:
                              digest["weighted"], digest["regret"], mist])
         print(out.getvalue(), end="")
     else:
-        print(json.dumps(report, indent=2))
+        print(_dumps(report))
     return 0
 
 
@@ -311,7 +339,7 @@ def cmd_moods(args: argparse.Namespace) -> int:
                 }
                 for e in entries
             ]
-            print(json.dumps(payload, indent=2))
+            print(_dumps(payload))
         else:
             out = io.StringIO()
             writer = csv.writer(out, lineterminator="\n")
@@ -392,3 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -15,34 +15,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import eq
 from statistics import fmean
 from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateWeightsError, DomainError
-from .tables import DecisionSystem, NewObject, ObjectId, consistentize, is_consistent
-from .vc import touching_set, vc_of_object
+from .tables import DecisionSystem, NewObject, ObjectId, is_consistent
+from .vc import vc_count
 
-
-class _UnseenValue:
-    """A feature value distinct from every value any table can hold.
-
-    Used when an inconsistent system is repaired by a synthetic decision
-    copy column: the reference object gets this value there, so the new
-    column never contributes to any touching set.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "<unseen>"
-
-
-UNSEEN = _UnseenValue()
+# Not called here; imported only because perfbench/spans.py rebinds them to time them.
+from .tables import consistentize  # noqa: F401
+from .vc import touching_set, vc_of_object  # noqa: F401
 
 ForecastPolicy = Callable[[DecisionSystem, ObjectId, int], float]
 
@@ -221,9 +204,9 @@ def build_trial(
 ) -> TrialResult:
     """Forecasts, radii and the weighted prediction, with no expert yet.
 
-    An inconsistent system is first repaired with a synthetic decision
-    copy column; the reference object takes an unseen value there, so
-    touching sets are unaffected.
+    Touching sizes are agreement counts with omega. An inconsistent system
+    counts as repaired by a decision copy column that omega never matches,
+    so its ground size is one more than its feature count.
     """
     if not system.objects:
         raise DomainError("the system has no objects to act as agents")
@@ -234,12 +217,12 @@ def build_trial(
             f"the reference object must assign exactly the system's features "
             f"(missing {missing}, extra {extra})"
         )
-    if not is_consistent(system):
-        system = consistentize(system)
-        omega = omega.extended("d", UNSEEN)
-    sizes = {o: len(touching_set(system, o, omega)) for o in system.objects}
+    ground = len(system.features) + (not is_consistent(system))
+    values = omega.as_mapping()
+    reference = tuple(values[f] for f in system.features)
+    sizes = {o: sum(map(eq, system.rows[o], reference)) for o in system.objects}
     vcs = {
-        o: vc_of_object(system, o, omega, config.epsilon, config.mode)
+        o: vc_count(ground, sizes[o], config.epsilon, config.mode)
         for o in system.objects
     }
     vc_star = max(vcs.values())

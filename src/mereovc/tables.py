@@ -10,6 +10,7 @@ identities survive row removal.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -78,14 +79,14 @@ class NewObject:
 class DecisionSystem:
     """Immutable object/feature/decision table.
 
-    Invariants enforced at construction: feature names are unique, the
-    value table is rectangular over objects x features, and every object
-    carries a decision.
+    Each object holds one value tuple in feature order. Invariants enforced
+    at construction: feature names are unique, every object has a row of
+    one value per feature, and every object carries a decision.
     """
 
     objects: tuple[ObjectId, ...]
     features: tuple[str, ...]
-    table: Mapping[tuple[ObjectId, str], Value]
+    rows: Mapping[ObjectId, tuple[Value, ...]]
     decisions: Mapping[ObjectId, float]
 
     def __post_init__(self):
@@ -93,15 +94,13 @@ class DecisionSystem:
             raise SchemaError("duplicate feature names")
         if len(set(self.objects)) != len(self.objects):
             raise DomainError("duplicate object ids")
+        if len(self.rows) != len(self.objects):
+            raise DomainError("value table is not rectangular")
         for o in self.objects:
             if o not in self.decisions:
                 raise DomainError(f"object {o} has no decision value")
-        if len(self.table) != len(self.objects) * len(self.features):
-            raise DomainError("value table is not rectangular")
-        for o in self.objects:
-            for f in self.features:
-                if (o, f) not in self.table:
-                    raise DomainError(f"missing cell ({o}, {f!r})")
+            if o not in self.rows or len(self.rows[o]) != len(self.features):
+                raise DomainError("value table is not rectangular")
 
     @classmethod
     def from_rows(
@@ -114,23 +113,22 @@ class DecisionSystem:
         if len(rows) != len(decisions):
             raise DomainError("rows and decisions differ in length")
         ids = tuple(object_ids) if object_ids is not None else tuple(range(len(rows)))
-        table: dict[tuple[ObjectId, str], Value] = {}
         for o, row in zip(ids, rows):
             if len(row) != len(features):
                 raise StructuralError(f"object {o} has {len(row)} values, expected {len(features)}")
-            for f, v in zip(features, row):
-                table[(o, f)] = v
-        return cls(ids, tuple(features), table, dict(zip(ids, (float(d) for d in decisions))))
+        decision_map = dict(zip(ids, map(float, decisions)))
+        return cls(ids, tuple(features), dict(zip(ids, map(tuple, rows))), decision_map)
 
     def value(self, o: ObjectId, feature: str) -> Value:
-        if o not in self.decisions:
-            raise KeyError(f"unknown object id {o}")
-        if feature not in self.features:
+        row = self.row(o)
+        if feature not in row:
             raise KeyError(f"unknown feature {feature!r}")
-        return self.table[(o, feature)]
+        return row[feature]
 
     def row(self, o: ObjectId) -> dict[str, Value]:
-        return {f: self.value(o, f) for f in self.features}
+        if o not in self.decisions:
+            raise KeyError(f"unknown object id {o}")
+        return dict(zip(self.features, self.rows[o]))
 
     def as_new_object(self, o: ObjectId) -> NewObject:
         return NewObject.from_mapping(self.row(o))
@@ -140,9 +138,9 @@ class DecisionSystem:
         if o not in self.decisions:
             raise KeyError(f"unknown object id {o}")
         keep = tuple(x for x in self.objects if x != o)
-        table = {(x, f): self.table[(x, f)] for x in keep for f in self.features}
+        rows = {x: self.rows[x] for x in keep}
         decisions = {x: self.decisions[x] for x in keep}
-        return DecisionSystem(keep, self.features, table, decisions)
+        return DecisionSystem(keep, self.features, rows, decisions)
 
 
 def load_decision_system(
@@ -153,7 +151,7 @@ def load_decision_system(
     """Read a delimiter-separated table with a header row.
 
     The decision column defaults to the last header name. Decision cells
-    must parse as real numbers; all other cells are kept verbatim as
+    must parse as finite real numbers; all other cells are kept verbatim as
     string tokens. Lines are numbered from 1 with the header as line 1,
     so error messages point at the physical line.
     """
@@ -185,9 +183,11 @@ def load_decision_system(
         try:
             decision = float(raw)
         except ValueError:
+            decision = math.nan
+        if not math.isfinite(decision):
             raise DecisionParseError(
-                f"row {line_no}, column {decision_column!r}: {raw!r} is not a real number"
-            ) from None
+                f"row {line_no}, column {decision_column!r}: {raw!r} is not a finite real number"
+            )
         rows.append(tuple(v for i, v in enumerate(cells) if i != d_idx))
         decisions.append(decision)
     return DecisionSystem.from_rows(features, rows, decisions)
@@ -212,7 +212,7 @@ def find_inconsistency(system: DecisionSystem) -> tuple[ObjectId, ObjectId] | No
     """A witness pair sharing all feature values but not the decision, if any."""
     first_seen: dict[tuple[Value, ...], ObjectId] = {}
     for o in system.objects:
-        signature = tuple(system.table[(o, f)] for f in system.features)
+        signature = system.rows[o]
         if signature in first_seen:
             earlier = first_seen[signature]
             if system.decisions[earlier] != system.decisions[o]:
@@ -236,12 +236,10 @@ def consistentize(system: DecisionSystem, feature: str = "d") -> DecisionSystem:
     """
     if feature in system.features:
         raise SchemaError(f"feature {feature!r} already exists")
-    table = dict(system.table)
-    for o in system.objects:
-        table[(o, feature)] = system.decisions[o]
+    rows = {o: system.rows[o] + (system.decisions[o],) for o in system.objects}
     return DecisionSystem(
         system.objects,
         system.features + (feature,),
-        table,
+        rows,
         dict(system.decisions),
     )

@@ -12,14 +12,17 @@ cut out by some family member C, i.e. C & S == T. Whether a suitable C
 exists is a counting question: C = T + x1 extra touching descriptors
 outside S + x0 extra non-touching descriptors outside S, and the degree
 constraint pins the feasible (x1, x0) region. The VC dimension is the
-largest size of a shattered set; a brute-force checker over explicit
-subsets backs the counting route in the tests.
+largest size of a shattered set. It depends only on the sizes of the
+ground and touching sets, so vc_count works on those counts alone; the
+set-level family, shattering witnesses and brute-force checkers stay as
+the oracle that backs the counting route in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import FrozenSet, Hashable, Iterable, Optional
 
@@ -205,21 +208,25 @@ def _class_shatterable(
     return True
 
 
-def vc_dimension(family: ComponentFamily) -> int:
-    """Largest size of a shattered subset of the ground set.
+# Unbounded but small: a table with F features yields at most (F+2)^2 size
+# pairs per (epsilon, mode).
+@lru_cache(maxsize=None)
+def vc_count(ground_size: int, touching_size: int, epsilon: Fraction, mode: str) -> int:
+    """Largest size of a shattered subset of a ground set, from its sizes.
 
     Candidate sets with the same number of touching and non-touching
     members behave identically, so only the split counts are scanned.
     """
-    t_size = len(family.touching)
-    rest_size = len(family.ground) - t_size
+    if not (0 <= touching_size <= ground_size and 0 <= epsilon <= 1 and mode in _MODES):
+        raise DomainError(f"need 0 <= touching <= ground, epsilon in [0, 1], mode in {_MODES}")
+    rest_size = ground_size - touching_size
     best = 0
-    for size in range(1, len(family.ground) + 1):
+    for size in range(1, ground_size + 1):
         found = False
-        for t1 in range(max(0, size - rest_size), min(size, t_size) + 1):
+        for t1 in range(max(0, size - rest_size), min(size, touching_size) + 1):
             t0 = size - t1
             if _class_shatterable(
-                t1, t0, t_size - t1, rest_size - t0, family.epsilon, family.mode
+                t1, t0, touching_size - t1, rest_size - t0, epsilon, mode
             ):
                 found = True
                 break
@@ -231,6 +238,11 @@ def vc_dimension(family: ComponentFamily) -> int:
     return best
 
 
+def vc_dimension(family: ComponentFamily) -> int:
+    """Largest size of a shattered subset of the ground set."""
+    return vc_count(len(family.ground), len(family.touching), family.epsilon, family.mode)
+
+
 def vc_of_object(
     system: DecisionSystem,
     o: ObjectId,
@@ -240,8 +252,7 @@ def vc_of_object(
 ) -> int:
     """VC dimension of the epsilon family of one row against omega."""
     touch = touching_set(system, o, omega)
-    ground = frozenset(system.as_new_object(o))
-    return vc_dimension(ComponentFamily(ground, touch, Fraction(epsilon), mode))
+    return vc_count(len(system.features), len(touch), Fraction(epsilon), mode)
 
 
 def vc_star(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mereovc
 from mereovc.cli import main, parse_rational
 from mereovc.errors import UsageError
 
@@ -25,6 +30,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the NaN and Infinity tokens json.loads allows."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestRationalFlag:
@@ -107,6 +121,20 @@ class TestPredict:
         assert code == 2
         assert "rational" in err
 
+    def test_table_with_bom(self, capsys, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffx,dec\na,1\nb,2\n", encoding="utf-8")
+        code, out, err = run(capsys, "predict", str(path), "--omega", "x=a")
+        assert (code, err) == (0, "")
+        assert strict_json(out)["omega"] == {"x": "a"}
+
+    def test_omega_file_with_bom(self, capsys, table, tmp_path):
+        omega = tmp_path / "omega.csv"
+        omega.write_text("\ufeffcolor,shape,size\nred,round,small\n", encoding="utf-8")
+        code, out, err = run(capsys, "predict", table, "--omega", str(omega))
+        assert (code, err) == (0, "")
+        assert list(strict_json(out)["omega"]) == ["color", "shape", "size"]
+
     def test_csv_output(self, capsys, table):
         code, out, _ = run(
             capsys, "predict", table,
@@ -140,6 +168,30 @@ class TestEvaluateLoo:
         path.write_text("f,d\nx,4\n", encoding="utf-8")
         code, _, err = run(capsys, "evaluate-loo", str(path))
         assert code == 3
+
+    def test_inconsistent_table_with_a_feature_named_d(self, capsys, tmp_path):
+        # the decision copy column of an inconsistent table must not
+        # collide with a real feature of the same name
+        path = tmp_path / "dname.csv"
+        path.write_text("x,d,dec\na,b,1\na,b,2\nc,b,3\n", encoding="utf-8")
+        code, out, err = run(capsys, "evaluate-loo", str(path))
+        assert (code, err) == (0, "")
+        assert strict_json(out)["object_count"] == 3
+
+    def test_non_finite_decisions_are_input_errors(self, capsys, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("x,dec\na,nan\nb,inf\n", encoding="utf-8")
+        code, out, err = run(capsys, "evaluate-loo", str(path))
+        assert (code, out) == (1, "")
+        assert "'nan' is not a finite real number" in err
+
+    def test_overflowing_loss_is_a_domain_error(self, capsys, tmp_path):
+        # finite decisions whose difference overflows to inf
+        path = tmp_path / "big.csv"
+        path.write_text("x,dec\na,1e308\nb,-1e308\n", encoding="utf-8")
+        code, out, err = run(capsys, "evaluate-loo", str(path))
+        assert (code, out) == (3, "")
+        assert "not valid JSON" in err
 
     def test_csv_output(self, capsys, table):
         code, out, _ = run(capsys, "evaluate-loo", table, "--output", "csv")
@@ -203,3 +255,31 @@ def test_unknown_flag_exits_2(capsys):
     code = main(["predict", "--bogus"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate-loo", "--delta", "0"],
+        ["evaluate-loo", "--eta", "2"],
+        ["evaluate-loo", "--epsilon", "3/2"],
+        ["evaluate-loo", "--tolerance", "inf"],
+        ["predict", "--omega", "color=red,shape=round,size=small", "--expert", "nan"],
+    ],
+)
+def test_out_of_range_flags_exit_2(capsys, table, argv):
+    code, out, err = run(capsys, argv[0], table, *argv[1:])
+    assert (code, out) == (2, "")
+    assert "error" in err
+
+
+@pytest.mark.parametrize("module", ["mereovc", "mereovc.cli"])
+def test_runs_as_a_module(module):
+    env = dict(os.environ)
+    src = str(Path(mereovc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "moods", "check", "Barbara"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "valid: Amb & Aam -> Aab\n", "")

@@ -6,7 +6,6 @@ import pytest
 from conftest import load_csv
 from mereovc.errors import DegenerateWeightsError, DomainError
 from mereovc.predict import (
-    UNSEEN,
     AgentForecast,
     PredictionConfig,
     TrialResult,
@@ -198,12 +197,14 @@ class TestRunTrial:
 
     def test_inconsistent_system_is_repaired(self, inconsistent_system):
         omega = NewObject.from_mapping({"f1": "1", "f2": "a"})
-        trial = run_trial(inconsistent_system, omega, expert=4.0)
-        # the synthetic column appears in the trial's reference object but
-        # carries a value no table row can match
-        assert "d" in trial.omega.features
-        assert trial.omega.value("d") is UNSEEN
-        assert all(f.touching_size <= 2 for f in trial.forecasts)
+        cfg = PredictionConfig(epsilon=Fraction(0))
+        trial = run_trial(inconsistent_system, omega, expert=4.0, config=cfg)
+        # the repair adds one ground descriptor per row that omega never
+        # touches: at epsilon 0 the exact-mode VC is ground minus touching,
+        # so ground F+1 = 3 gives 1, 1, 3 where ground F = 2 would give 0, 0, 2
+        assert [f.touching_size for f in trial.forecasts] == [2, 2, 0]
+        assert [f.vc for f in trial.forecasts] == [1, 1, 3]
+        assert trial.omega is omega
 
     def test_unscored_without_expert(self, toy_system):
         omega = toy_system.as_new_object(2)
@@ -236,8 +237,3 @@ class TestApproxPredicted:
             approx_predicted([])
         with pytest.raises(DomainError):
             approx_predicted([panel((1, 1, 1, 4.0))])
-
-
-def test_unseen_is_a_singleton():
-    assert repr(UNSEEN) == "<unseen>"
-    assert type(UNSEEN)() is UNSEEN

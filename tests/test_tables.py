@@ -57,6 +57,11 @@ class TestLoader:
         with pytest.raises(DecisionParseError, match="row 2.*'d'.*'four'"):
             load_csv("f1,d\nx,four\n")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_decision_cell(self, raw):
+        with pytest.raises(DecisionParseError, match=f"row 3.*{raw!r} is not a finite"):
+            load_csv(f"f1,d\nx,4\ny,{raw}\n")
+
     def test_empty_input(self):
         with pytest.raises(StructuralError, match="header"):
             load_csv("")
