@@ -10,14 +10,16 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from statistics import fmean
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .errors import DomainError, InputError, UsageError
 from .laws import MAX_REPORTED_FAILURES, full_selftest
@@ -37,7 +39,7 @@ from .syllogistic import (
     lookup_mood,
     parse_mood,
 )
-from .tables import DecisionSystem, NewObject, load_decision_system
+from .tables import DecisionSystem, NewObject, load_decision_system, read_records
 
 
 def parse_rational(text: str) -> Fraction:
@@ -150,8 +152,22 @@ def _config_echo(args: argparse.Namespace, config: PredictionConfig) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _input_file(path: str) -> Iterator[TextIO]:
+    """A CSV input opened as UTF-8 text; its input errors name the file."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+        ) from None
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _load_table(path: str, decision: Optional[str]) -> DecisionSystem:
-    with open(path, newline="", encoding="utf-8-sig") as handle:
+    with _input_file(path) as handle:
         return load_decision_system(handle, decision_column=decision)
 
 
@@ -167,8 +183,8 @@ def _parse_omega(source: str, system: DecisionSystem) -> tuple[NewObject, dict]:
                 raise UsageError(f"feature {name.strip()!r} is assigned twice in --omega")
             mapping[name.strip()] = value
     else:
-        with open(source, newline="", encoding="utf-8-sig") as handle:
-            rows = list(csv.reader(handle))
+        with _input_file(source) as handle:
+            rows = read_records(handle)
         rows = [r for r in rows if r]
         if len(rows) != 2:
             raise UsageError(
@@ -193,10 +209,75 @@ def _parse_omega(source: str, system: DecisionSystem) -> tuple[NewObject, dict]:
     return NewObject.from_mapping(ordered), ordered
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _is_flat(members) -> bool:
+    return not any(map(isinstance, members, repeat(_CONTAINERS)))
+
+
+def _is_record_list(members) -> bool:
+    """True when every member is a non-empty dict of scalars."""
+    return (
+        all(map(isinstance, members, repeat(dict)))
+        and all(members)
+        and _is_flat(chain.from_iterable(map(dict.values, members)))
+    )
+
+
 def _dumps(report) -> str:
-    """The report as strict JSON; a non-finite number is a domain error."""
+    """The report as strict JSON; a non-finite number is a domain error.
+
+    The text is byte for byte json.dumps(report, indent=2, allow_nan=False),
+    but the stdlib writes indented JSON with its pure-Python encoder. Here
+    every scalar, every container of scalars and every list of non-empty
+    flat dicts goes to the C encoder in one call, with the newline and
+    indent of its depth as the member separator; only containers that hold
+    containers are laid out in Python. The C encoder writes a raw newline
+    only in a separator, never in a string, and a dict member's separator
+    is always followed by the next key's quote, so in a list of records
+    the text "},\\n" + indent + "{" occurs only between two records.
+    """
+    encoders = {}
+
+    def encode(obj, pad: str) -> str:
+        # obj by the C encoder, members separated by a newline and pad
+        if pad not in encoders:
+            encoders[pad] = json.JSONEncoder(
+                allow_nan=False, separators=(",\n" + pad, ": ")
+            ).encode
+        return encoders[pad](obj)
+
+    def key(name, pad: str) -> str:
+        if isinstance(name, str):
+            return encode(name, pad)
+        # json writes a non-string key as a string; let the C encoder say how
+        return encode({name: None}, pad)[1:-len(": null}")]
+
+    def write(obj, pad: str) -> str:
+        if not isinstance(obj, _CONTAINERS) or not obj:
+            return encode(obj, pad)
+        inner = pad + "  "
+        is_dict = isinstance(obj, dict)
+        if _is_flat(obj.values() if is_dict else obj):
+            body = encode(obj, inner)[1:-1]
+        elif is_dict:
+            body = (",\n" + inner).join(
+                f"{key(k, inner)}: {write(v, inner)}" for k, v in obj.items()
+            )
+        elif _is_record_list(obj):
+            deep = inner + "  "
+            records = encode(obj, deep)[2:-2].replace(
+                "},\n" + deep + "{", f"\n{inner}}},\n{inner}{{\n{deep}"
+            )
+            body = f"{{\n{deep}{records}\n{inner}}}"
+        else:
+            body = (",\n" + inner).join(write(m, inner) for m in obj)
+        opening, closing = "{}" if is_dict else "[]"
+        return f"{opening}\n{inner}{body}\n{pad}{closing}"
+
     try:
-        return json.dumps(report, indent=2, allow_nan=False)
+        return write(report, "")
     except ValueError:
         raise DomainError(
             "the report holds a number outside the float range, so it is not valid JSON"

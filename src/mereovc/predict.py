@@ -221,19 +221,19 @@ def build_trial(
     values = omega.as_mapping()
     reference = tuple(values[f] for f in system.features)
     sizes = {o: sum(map(eq, system.rows[o], reference)) for o in system.objects}
-    vcs = {
-        o: vc_count(ground, sizes[o], config.epsilon, config.mode)
-        for o in system.objects
+    vc_of_size = {
+        t: vc_count(ground, t, config.epsilon, config.mode) for t in set(sizes.values())
     }
-    vc_star = max(vcs.values())
+    vc_star = max(vc_of_size.values())
     forecasts = []
     for o in system.objects:
-        r = radius(vcs[o], vc_star, config.delta)
+        vc = vc_of_size[sizes[o]]
+        r = radius(vc, vc_star, config.delta)
         forecasts.append(
             AgentForecast(
                 object=o,
                 touching_size=sizes[o],
-                vc=vcs[o],
+                vc=vc,
                 radius=r,
                 forecast=forecast(system, o, r, forecast_policy),
             )
@@ -268,8 +268,12 @@ def score_trial(
     if trial.weighted is None:
         trial = _with_weighted(trial)
     scored = tuple(
-        replace(
-            f,
+        AgentForecast(
+            f.object,
+            f.touching_size,
+            f.vc,
+            f.radius,
+            f.forecast,
             reward=reward(f.forecast, f.radius, expert),
             loss=abs(expert - f.forecast),
         )

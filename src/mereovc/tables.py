@@ -143,6 +143,15 @@ class DecisionSystem:
         return DecisionSystem(keep, self.features, rows, decisions)
 
 
+def read_records(source: Iterable[str], delimiter: str = ",") -> list[list[str]]:
+    """Every record of a delimiter-separated text; a csv error names its line."""
+    reader = csv.reader(source, delimiter=delimiter)
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise StructuralError(f"line {reader.line_num}: {exc}") from None
+
+
 def load_decision_system(
     source: Iterable[str],
     decision_column: str | None = None,
@@ -153,13 +162,16 @@ def load_decision_system(
     The decision column defaults to the last header name. Decision cells
     must parse as finite real numbers; all other cells are kept verbatim as
     string tokens. Lines are numbered from 1 with the header as line 1,
-    so error messages point at the physical line.
+    so error messages point at the physical line. The header must be the
+    first line; a blank first line or a csv error, such as a cell over the
+    csv field limit, is a StructuralError.
     """
-    reader = csv.reader(source, delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise StructuralError("empty input, no header row") from None
+    records = read_records(source, delimiter)
+    if not records:
+        raise StructuralError("empty input, no header row")
+    header = records[0]
+    if not header:
+        raise StructuralError("line 1 is blank; the header row must come first")
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise SchemaError(f"duplicate header names: {', '.join(dupes)}")
@@ -172,7 +184,7 @@ def load_decision_system(
 
     rows: list[tuple[Value, ...]] = []
     decisions: list[float] = []
-    for line_no, cells in enumerate(reader, start=2):
+    for line_no, cells in enumerate(records[1:], start=2):
         if not cells:
             continue
         if len(cells) != len(header):

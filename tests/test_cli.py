@@ -135,6 +135,29 @@ class TestPredict:
         assert (code, err) == (0, "")
         assert list(strict_json(out)["omega"]) == ["color", "shape", "size"]
 
+    def test_blank_first_line_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\nx,dec\na,1\n", encoding="utf-8")
+        code, out, err = run(capsys, "predict", str(path), "--omega", "x=a")
+        assert (code, out) == (1, "")
+        assert f"{path}: line 1 is blank" in err
+
+    @pytest.mark.parametrize("broken", ["table", "omega"])
+    def test_non_utf8_file_is_input_error(self, capsys, table, tmp_path, broken):
+        path = tmp_path / f"{broken}.csv"
+        path.write_bytes(b"\xffcolor,shape,size\nred,round,small\n")
+        argv = [table, "--omega", str(path)] if broken == "omega" else [str(path), "--omega", "x=a"]
+        code, out, err = run(capsys, "predict", *argv)
+        assert (code, out) == (1, "")
+        assert f"{path}: not UTF-8 text (byte 0xff)" in err
+
+    def test_oversized_cell_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("x,dec\na,1\n" + "b" * 131073 + ",2\n", encoding="utf-8")
+        code, out, err = run(capsys, "predict", str(path), "--omega", "x=a")
+        assert (code, out) == (1, "")
+        assert f"{path}: line 3: field larger than field limit" in err
+
     def test_csv_output(self, capsys, table):
         code, out, _ = run(
             capsys, "predict", table,
