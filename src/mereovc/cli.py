@@ -184,13 +184,17 @@ def _parse_omega(source: str, system: DecisionSystem) -> tuple[NewObject, dict]:
             mapping[name.strip()] = value
     else:
         with _input_file(source) as handle:
-            rows = read_records(handle)
-        rows = [r for r in rows if r]
+            rows = [cells for _, cells in read_records(handle) if cells]
         if len(rows) != 2:
             raise UsageError(
                 f"omega file {source!r} must hold a header and exactly one row"
             )
         header, cells = rows
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise UsageError(
+                f"feature {repeated[0]!r} is assigned twice in omega file {source!r}"
+            )
         if len(cells) != len(header):
             raise UsageError(
                 f"omega file {source!r} row has {len(cells)} cells but the header has {len(header)}"

@@ -232,7 +232,6 @@ def _component_axiom(a, b):
     return component(a, b)
 
 
-COMPONENT_ENUM_CAP = 1 << 8
 COMPONENT_SAMPLE = 300
 
 

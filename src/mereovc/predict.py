@@ -2,8 +2,8 @@
 
 Every row of a decision table acts as an agent. Against a new object the
 agent's competence is the VC dimension of its epsilon-component family,
-and its forecast is trusted inside a neighborhood of its own decision
-value whose radius scales with that competence: radius(o) equals
+and its forecast, its own decision value, is trusted inside a
+neighborhood whose radius scales with that competence: radius(o) equals
 floor(delta * VC(o) / VC*), with VC* the panel maximum. An expert value
 rewards exactly the agents whose neighborhood covers it (closed balls);
 the winner is the rewarded agent with the smallest absolute loss; the
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import eq
 from statistics import fmean
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DegenerateWeightsError, DomainError
 from .tables import DecisionSystem, NewObject, ObjectId, is_consistent
@@ -26,8 +26,6 @@ from .vc import vc_count
 # Not called here; imported only because perfbench/spans.py rebinds them to time them.
 from .tables import consistentize  # noqa: F401
 from .vc import touching_set, vc_of_object  # noqa: F401
-
-ForecastPolicy = Callable[[DecisionSystem, ObjectId, int], float]
 
 _TIE_STRATEGIES = ("random", "lowest_object_id")
 
@@ -108,29 +106,6 @@ def radius(vc: int, vc_star: int, delta: int) -> int:
     return delta * vc // vc_star
 
 
-def forecast(
-    system: DecisionSystem,
-    o: ObjectId,
-    r: int,
-    policy: Optional[ForecastPolicy] = None,
-) -> float:
-    """The agent's forecast, its own decision value unless a policy moves it.
-
-    A policy value outside the closed neighborhood of the decision value
-    is rejected.
-    """
-    center = system.decisions[o]
-    if policy is None:
-        return center
-    value = policy(system, o, r)
-    if abs(value - center) > r:
-        raise DomainError(
-            f"forecast {value} for object {o} leaves the radius-{r} "
-            f"neighborhood of its decision value {center}"
-        )
-    return value
-
-
 def reward(center: float, r: float, expert: float) -> int:
     """1 when the expert value lands in the closed ball around center."""
     return 1 if abs(expert - center) <= r else 0
@@ -200,7 +175,6 @@ def build_trial(
     omega: NewObject,
     config: PredictionConfig = PredictionConfig(),
     trial_index: int = 0,
-    forecast_policy: Optional[ForecastPolicy] = None,
 ) -> TrialResult:
     """Forecasts, radii and the weighted prediction, with no expert yet.
 
@@ -228,14 +202,13 @@ def build_trial(
     forecasts = []
     for o in system.objects:
         vc = vc_of_size[sizes[o]]
-        r = radius(vc, vc_star, config.delta)
         forecasts.append(
             AgentForecast(
                 object=o,
                 touching_size=sizes[o],
                 vc=vc,
-                radius=r,
-                forecast=forecast(system, o, r, forecast_policy),
+                radius=radius(vc, vc_star, config.delta),
+                forecast=system.decisions[o],
             )
         )
     trial = TrialResult(
@@ -290,10 +263,9 @@ def run_trial(
     expert: Optional[float] = None,
     config: PredictionConfig = PredictionConfig(),
     trial_index: int = 0,
-    forecast_policy: Optional[ForecastPolicy] = None,
 ) -> TrialResult:
     """One full protocol round; scoring is skipped without an expert."""
-    trial = build_trial(system, omega, config, trial_index, forecast_policy)
+    trial = build_trial(system, omega, config, trial_index)
     if expert is None:
         return trial
     return score_trial(trial, expert, config)

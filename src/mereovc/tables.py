@@ -143,33 +143,38 @@ class DecisionSystem:
         return DecisionSystem(keep, self.features, rows, decisions)
 
 
-def read_records(source: Iterable[str], delimiter: str = ",") -> list[list[str]]:
-    """Every record of a delimiter-separated text; a csv error names its line."""
-    reader = csv.reader(source, delimiter=delimiter)
+def read_records(source: Iterable[str]) -> list[tuple[int, list[str]]]:
+    """Every record of a comma-separated text, paired with the physical
+    line it starts on (from 1); a csv error names its line."""
+    reader = csv.reader(source)
+    records = []
+    start = 1
     try:
-        return list(reader)
+        for cells in reader:
+            records.append((start, cells))
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise StructuralError(f"line {reader.line_num}: {exc}") from None
+    return records
 
 
 def load_decision_system(
     source: Iterable[str],
     decision_column: str | None = None,
-    delimiter: str = ",",
 ) -> DecisionSystem:
-    """Read a delimiter-separated table with a header row.
+    """Read a comma-separated table with a header row.
 
     The decision column defaults to the last header name. Decision cells
     must parse as finite real numbers; all other cells are kept verbatim as
-    string tokens. Lines are numbered from 1 with the header as line 1,
-    so error messages point at the physical line. The header must be the
-    first line; a blank first line or a csv error, such as a cell over the
-    csv field limit, is a StructuralError.
+    string tokens. A row is numbered by the physical line it starts on,
+    with the header as line 1. The header must be the first line; a blank
+    first line or a csv error, such as a cell over the csv field limit, is
+    a StructuralError.
     """
-    records = read_records(source, delimiter)
+    records = read_records(source)
     if not records:
         raise StructuralError("empty input, no header row")
-    header = records[0]
+    header = records[0][1]
     if not header:
         raise StructuralError("line 1 is blank; the header row must come first")
     if len(set(header)) != len(header):
@@ -184,7 +189,7 @@ def load_decision_system(
 
     rows: list[tuple[Value, ...]] = []
     decisions: list[float] = []
-    for line_no, cells in enumerate(records[1:], start=2):
+    for line_no, cells in records[1:]:
         if not cells:
             continue
         if len(cells) != len(header):

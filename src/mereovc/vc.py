@@ -191,21 +191,32 @@ def shatters(family: ComponentFamily, s: GroundSet) -> ShatterResult:
     return ShatterResult(True, witnesses, None)
 
 
-def _class_shatterable(
-    t1: int, t0: int, pool_touch: int, pool_rest: int, eps: Fraction, mode: str
-) -> bool:
-    """Shatterability of any set with t1 touching and t0 other members.
+def _split_shattered(s1: int, s0: int, u: int, v: int, eps: Fraction, mode: str) -> bool:
+    """Whether a set with s1 touching and s0 other members is shattered.
 
-    Traces with the same split (k1, k0) need the same extension counts, so
-    the per-trace check collapses to the split grid.
+    u touching and v other descriptors lie outside the set, and
+    eps = p/(p+q) in lowest terms. The trace with a1 touching and a0 other
+    members needs a witness that adds x1 <= u touching and x0 <= v other
+    descriptors. at_least: q*(a1+x1) >= p*(a0+x0) is easiest with x1 = u,
+    x0 = 0 and hardest for the trace (0, s0). exact, eps 0 or 1: a witness
+    holds only other or only touching descriptors. exact, p, q >= 1: a
+    witness holds p*m touching and q*m other descriptors, so m lies in both
+    ceil(a1/p)..(a1+u)//p and ceil(a0/q)..(a0+v)//q. The traces (1, 0)
+    and (s1, 0) force u >= p-1 and ceil(s1/p) <= v//q; then for every a1,
+    ceil(a1/p) lies in its own range and at or below the other's top, and
+    the same holds for a0, so every trace finds its m.
     """
-    for k1 in range(t1 + 1):
-        for k0 in range(t0 + 1):
-            if k1 == 0 and k0 == 0:
-                continue
-            if _extension_counts(k1, k1 + k0, pool_touch, pool_rest, eps, mode) is None:
-                return False
-    return True
+    p = eps.numerator
+    q = eps.denominator - p
+    if mode == "at_least":
+        return s0 == 0 or u * q >= p * s0
+    if p == 0:
+        return s1 == 0
+    if q == 0:
+        return s0 == 0
+    return (s1 == 0 or (u >= p - 1 and -(-s1 // p) <= v // q)) and (
+        s0 == 0 or (v >= q - 1 and -(-s0 // q) <= u // p)
+    )
 
 
 # Unbounded but small: a table with F features yields at most (F+2)^2 size
@@ -214,28 +225,19 @@ def _class_shatterable(
 def vc_count(ground_size: int, touching_size: int, epsilon: Fraction, mode: str) -> int:
     """Largest size of a shattered subset of a ground set, from its sizes.
 
-    Candidate sets with the same number of touching and non-touching
-    members behave identically, so only the split counts are scanned.
+    Sets with the same number of touching and non-touching members behave
+    identically, so the largest shattered split on the (touching+1) x
+    (rest+1) grid is the VC dimension; the empty split always passes.
     """
     if not (0 <= touching_size <= ground_size and 0 <= epsilon <= 1 and mode in _MODES):
         raise DomainError(f"need 0 <= touching <= ground, epsilon in [0, 1], mode in {_MODES}")
     rest_size = ground_size - touching_size
-    best = 0
-    for size in range(1, ground_size + 1):
-        found = False
-        for t1 in range(max(0, size - rest_size), min(size, touching_size) + 1):
-            t0 = size - t1
-            if _class_shatterable(
-                t1, t0, touching_size - t1, rest_size - t0, epsilon, mode
-            ):
-                found = True
-                break
-        if found:
-            best = size
-        else:
-            # shattering is downward closed over subsets, so no larger set works
-            break
-    return best
+    return max(
+        s1 + s0
+        for s1 in range(touching_size + 1)
+        for s0 in range(rest_size + 1)
+        if _split_shattered(s1, s0, touching_size - s1, rest_size - s0, epsilon, mode)
+    )
 
 
 def vc_dimension(family: ComponentFamily) -> int:

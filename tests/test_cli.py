@@ -90,6 +90,15 @@ class TestPredict:
         assert json.loads(out)["omega"] == {
             "color": "red", "shape": "round", "size": "small"}
 
+    def test_omega_file_repeating_a_feature_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "xy.csv"
+        path.write_text("x,y,dec\na,b,1\n", encoding="utf-8")
+        omega = tmp_path / "omega.csv"
+        omega.write_text("x,y,x\na,b,c\n", encoding="utf-8")
+        code, out, err = run(capsys, "predict", str(path), "--omega", str(omega))
+        assert (code, out) == (2, "")
+        assert "feature 'x' is assigned twice" in err
+
     def test_missing_feature_is_usage_error(self, capsys, table):
         code, _, err = run(capsys, "predict", table, "--omega", "color=red,shape=round")
         assert code == 2
@@ -113,6 +122,13 @@ class TestPredict:
         code, _, err = run(capsys, "predict", str(path), "--omega", "f=x")
         assert code == 1
         assert "row 2" in err
+
+    def test_row_after_a_multiline_cell_names_its_physical_line(self, capsys, tmp_path):
+        path = tmp_path / "multiline.csv"
+        path.write_text('x,d\n"a\nb",1\nc,oops\n', encoding="utf-8")
+        code, out, err = run(capsys, "predict", str(path), "--omega", "x=a")
+        assert (code, out) == (1, "")
+        assert f"{path}: row 4, column 'd'" in err
 
     def test_float_epsilon_rejected(self, capsys, table):
         code, _, err = run(

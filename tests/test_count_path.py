@@ -5,7 +5,8 @@ omega and its VC dimension from vc_count, with ground size F+1 for an
 inconsistent table. The old route repaired such a table with a decision
 copy column, gave omega a value there that no row holds, and took VC from
 explicit descriptor sets. These tests run the old route with the
-brute-force oracle and require the same numbers.
+brute-force oracle and require the same numbers, and check the
+closed-form shattering test behind vc_count set by set against shatters.
 """
 
 import random
@@ -21,7 +22,14 @@ from mereovc.tables import (
     consistentize,
     is_consistent,
 )
-from mereovc.vc import ComponentFamily, touching_set, vc_count, vc_dimension_bruteforce
+from mereovc.vc import (
+    ComponentFamily,
+    _split_shattered,
+    shatters,
+    touching_set,
+    vc_count,
+    vc_dimension_bruteforce,
+)
 
 EPSILONS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
 MODES = ["exact", "at_least"]
@@ -89,7 +97,7 @@ def test_build_trial_matches_the_descriptor_set_route(epsilon, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("epsilon", EPSILONS, ids=str)
+@pytest.mark.parametrize("epsilon", EPSILONS + [Fraction(2, 5), Fraction(3, 5)], ids=str)
 def test_vc_count_matches_bruteforce(epsilon, mode):
     for ground_size in range(8):
         ground = [Descriptor(f"f{i}", "v") for i in range(ground_size)]
@@ -100,3 +108,33 @@ def test_vc_count_matches_bruteforce(epsilon, mode):
             assert vc_count(ground_size, touching_size, epsilon, mode) == (
                 vc_dimension_bruteforce(family)
             ), (ground_size, touching_size)
+
+
+# p/(p+q) with p, q >= 2 reaches the u >= p-1 and v >= q-1 clauses
+SPLIT_EPSILONS = [
+    Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2),
+    Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(1),
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_split_test_matches_shatters(mode):
+    checked = 0
+    for ground_size in range(9):
+        ground = [Descriptor(f"f{i}", "v") for i in range(ground_size)]
+        for touching_size in range(ground_size + 1):
+            touching, rest = ground[:touching_size], ground[touching_size:]
+            for epsilon in SPLIT_EPSILONS:
+                family = ComponentFamily(frozenset(ground), frozenset(touching), epsilon, mode)
+                for s1 in range(touching_size + 1):
+                    for s0 in range(len(rest) + 1):
+                        if s1 == s0 == 0:
+                            continue
+                        s = frozenset(touching[:s1] + rest[:s0])
+                        got = _split_shattered(
+                            s1, s0, touching_size - s1, len(rest) - s0, epsilon, mode
+                        )
+                        assert got == bool(shatters(family, s)), (
+                            ground_size, touching_size, s1, s0, epsilon)
+                        checked += 1
+    assert checked == 4050

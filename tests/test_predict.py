@@ -11,7 +11,6 @@ from mereovc.predict import (
     TrialResult,
     approx_predicted,
     build_trial,
-    forecast,
     max_rewarded_loss,
     radius,
     regret,
@@ -54,17 +53,6 @@ class TestRadius:
 
 
 class TestForecastAndReward:
-    def test_default_policy_is_the_decision(self):
-        s = load_csv("f,d\nx,4\n")
-        assert forecast(s, 0, 5) == 4.0
-        assert forecast(s, 0, 0) == 4.0
-
-    def test_policy_must_stay_in_neighborhood(self):
-        s = load_csv("f,d\nx,4\n")
-        assert forecast(s, 0, 1, lambda sys, o, r: 4.5) == 4.5
-        with pytest.raises(DomainError):
-            forecast(s, 0, 1, lambda sys, o, r: 5.5)
-
     def test_reward_is_a_closed_ball(self):
         assert reward(4.0, 1, 5.0) == 1
         assert reward(4.0, 1, 5.5) == 0
@@ -178,6 +166,8 @@ class TestRunTrial:
         assert [f.touching_size for f in trial.forecasts] == [3, 2, 1]
         assert [f.vc for f in trial.forecasts] == [3, 2, 1]
         assert [f.radius for f in trial.forecasts] == [3, 2, 1]
+        # every agent forecasts its own decision value, whatever its radius
+        assert [f.forecast for f in trial.forecasts] == [4.0, 5.0, 7.0]
         assert trial.winner == (1, 5.0)
 
     def test_omega_equal_to_a_row_gets_radius_delta(self, toy_system):

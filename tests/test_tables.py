@@ -53,6 +53,10 @@ class TestLoader:
         with pytest.raises(StructuralError, match="row 3 has 2 cells but the header has 3"):
             load_csv("f1,f2,d\na,b,4\na,5\n")
 
+    def test_rows_are_numbered_by_physical_line(self):
+        with pytest.raises(StructuralError, match="row 6 has 1 cells"):
+            load_csv('f1,d\n"a\nb",4\n"c\nd",5\nx\n')
+
     def test_bad_decision_cell(self):
         with pytest.raises(DecisionParseError, match="row 2.*'d'.*'four'"):
             load_csv("f1,d\nx,four\n")
