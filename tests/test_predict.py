@@ -53,6 +53,14 @@ class TestRadius:
 
 
 class TestForecastAndReward:
+    def test_default_policy_is_the_decision(self):
+        s = load_csv("f,d\nx,4\n")
+        cfg = PredictionConfig(delta=5)
+        near = build_trial(s, NewObject.from_mapping({"f": "x"}), cfg)
+        far = build_trial(s, NewObject.from_mapping({"f": "y"}), cfg)
+        assert [(f.radius, f.forecast) for f in near.forecasts] == [(5, 4.0)]
+        assert [(f.radius, f.forecast) for f in far.forecasts] == [(0, 4.0)]
+
     def test_reward_is_a_closed_ball(self):
         assert reward(4.0, 1, 5.0) == 1
         assert reward(4.0, 1, 5.5) == 0
