@@ -48,7 +48,7 @@ from .tables import (
     is_consistent,
     load_decision_system,
 )
-from .vc import ComponentFamily, vc_dimension, vc_of_object, vc_star
+from .vc import ComponentFamily, vc_dimension, vc_of_object
 
 __version__ = "0.1.0"
 
@@ -95,5 +95,4 @@ __all__ = [
     "run_trial",
     "vc_dimension",
     "vc_of_object",
-    "vc_star",
 ]

@@ -12,9 +12,8 @@ neighborhoods it was checked at.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 from .predict import PredictionConfig, TrialResult
@@ -80,9 +79,6 @@ class LocalizationResult(NamedTuple):
     interval: tuple[float, float]
 
 
-CenterPolicy = Callable[[ObjectId, float, float, random.Random], float]
-
-
 def round_bound(max_radius: float, eta: float, tolerance: float) -> int:
     """Rounds until every radius sinks under tolerance by pure shrinking."""
     if max_radius < tolerance:
@@ -95,7 +91,6 @@ def localize(
     trial: TrialResult,
     expert: float,
     config: PredictionConfig = PredictionConfig(),
-    center_policy: Optional[CenterPolicy] = None,
 ) -> LocalizationResult:
     """Shrink-and-dismiss localization of the expert value.
 
@@ -104,10 +99,9 @@ def localize(
     neighborhoods; it contains the expert value whenever the fore-last
     check itself passed.
 
-    A center policy may move surviving centers after each shrink; the
-    default keeps every center at the agent's forecast. The system
-    argument is only used to cross-check agent ids and may be None for
-    hand-built trials.
+    Every center stays at the agent's forecast; only the radii shrink.
+    The system argument is only used to cross-check agent ids and may be
+    None for hand-built trials.
     """
     if not trial.forecasts:
         raise DomainError("localization needs at least one agent")
@@ -118,7 +112,6 @@ def localize(
     survivors = frozenset(f.object for f in trial.forecasts)
     radii = {f.object: float(f.radius) for f in trial.forecasts}
     centers = {f.object: float(f.forecast) for f in trial.forecasts}
-    rng = random.Random(f"{config.rng_seed}:localize:{trial.trial_index}")
     fore_last = (survivors, dict(radii), dict(centers))
     history: list[LocalizationState] = []
     round_no = 0
@@ -139,12 +132,6 @@ def localize(
         fore_last = (keep, {o: radii[o] for o in keep}, {o: centers[o] for o in keep})
         survivors = keep
         radii = {o: radii[o] * config.eta for o in keep}
-        if center_policy is not None:
-            centers = {
-                o: center_policy(o, centers[o], radii[o], rng) for o in keep
-            }
-        else:
-            centers = {o: centers[o] for o in keep}
         if all(r < config.radius_tolerance for r in radii.values()):
             break
         round_no += 1

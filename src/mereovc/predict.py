@@ -20,11 +20,11 @@ from statistics import fmean
 from typing import Optional, Sequence
 
 from .errors import DegenerateWeightsError, DomainError
-from .tables import DecisionSystem, NewObject, ObjectId, is_consistent
+from .tables import DecisionSystem, NewObject, ObjectId, ground_size
 from .vc import vc_count
 
 # Not called here; imported only because perfbench/spans.py rebinds them to time them.
-from .tables import consistentize  # noqa: F401
+from .tables import consistentize, is_consistent  # noqa: F401
 from .vc import touching_set, vc_of_object  # noqa: F401
 
 _TIE_STRATEGIES = ("random", "lowest_object_id")
@@ -140,14 +140,22 @@ def select_winner(
     return (pick.object, pick.forecast)
 
 
+def _weighted(forecasts: Sequence[AgentForecast]) -> tuple[float, bool]:
+    """The VC-weighted mean and whether every weight is 0, in which case
+    the plain mean of the forecasts stands in for it."""
+    total = sum(f.vc for f in forecasts)
+    if total == 0:
+        return fmean(f.forecast for f in forecasts), True
+    return sum(f.forecast * f.vc for f in forecasts) / total, False
+
+
 def weighted_prediction(trial: TrialResult) -> float:
     """VC-weighted average of the forecasts; the panel maximum cancels."""
-    total = sum(f.vc for f in trial.forecasts)
-    if total == 0:
+    if all(f.vc == 0 for f in trial.forecasts):
         raise DegenerateWeightsError(
             "every agent has vc 0, so the weighted prediction is undefined"
         )
-    return sum(f.forecast * f.vc for f in trial.forecasts) / total
+    return _weighted(trial.forecasts)[0]
 
 
 def regret(trial: TrialResult) -> float:
@@ -170,17 +178,42 @@ def max_rewarded_loss(trial: TrialResult) -> Optional[float]:
     return max(losses) if losses else None
 
 
-def build_trial(
+def _agent(
+    o: ObjectId, touching_size: int, vc: int, r: int, forecast: float, expert: Optional[float]
+) -> AgentForecast:
+    """One agent's stake, with reward and loss when an expert value is given."""
+    if expert is None:
+        return AgentForecast(o, touching_size, vc, r, forecast)
+    return AgentForecast(
+        o, touching_size, vc, r, forecast, reward(forecast, r, expert), abs(expert - forecast)
+    )
+
+
+def _conclude(trial: TrialResult, config: PredictionConfig) -> TrialResult:
+    """Fill in the weighted prediction unless the trial already has one,
+    then the winner and regret when the trial carries an expert value."""
+    if trial.weighted is None:
+        weighted, degenerate = _weighted(trial.forecasts)
+        trial = replace(trial, weighted=weighted, weights_degenerate=degenerate)
+    if trial.expert is None:
+        return trial
+    return replace(trial, winner=select_winner(trial, config), regret=regret(trial))
+
+
+def run_trial(
     system: DecisionSystem,
     omega: NewObject,
+    expert: Optional[float] = None,
     config: PredictionConfig = PredictionConfig(),
     trial_index: int = 0,
 ) -> TrialResult:
-    """Forecasts, radii and the weighted prediction, with no expert yet.
+    """One protocol round: forecasts, radii and the weighted prediction,
+    then rewards, losses, winner and regret when an expert value is given.
 
     Touching sizes are agreement counts with omega. An inconsistent system
     counts as repaired by a decision copy column that omega never matches,
-    so its ground size is one more than its feature count.
+    so its ground size is one more than its feature count; that rule is
+    tables.ground_size, which vc_of_object reads too.
     """
     if not system.objects:
         raise DomainError("the system has no objects to act as agents")
@@ -191,84 +224,34 @@ def build_trial(
             f"the reference object must assign exactly the system's features "
             f"(missing {missing}, extra {extra})"
         )
-    ground = len(system.features) + (not is_consistent(system))
+    ground = ground_size(system)
     values = omega.as_mapping()
     reference = tuple(values[f] for f in system.features)
-    sizes = {o: sum(map(eq, system.rows[o], reference)) for o in system.objects}
-    vc_of_size = {
-        t: vc_count(ground, t, config.epsilon, config.mode) for t in set(sizes.values())
-    }
+    sizes = [sum(map(eq, system.rows[o], reference)) for o in system.objects]
+    vc_of_size = {t: vc_count(ground, t, config.epsilon, config.mode) for t in set(sizes)}
     vc_star = max(vc_of_size.values())
     forecasts = []
-    for o in system.objects:
-        vc = vc_of_size[sizes[o]]
-        forecasts.append(
-            AgentForecast(
-                object=o,
-                touching_size=sizes[o],
-                vc=vc,
-                radius=radius(vc, vc_star, config.delta),
-                forecast=system.decisions[o],
-            )
-        )
-    trial = TrialResult(
-        omega=omega,
-        forecasts=tuple(forecasts),
-        vc_star=vc_star,
-        trial_index=trial_index,
-    )
-    return _with_weighted(trial)
-
-
-def _with_weighted(trial: TrialResult) -> TrialResult:
-    try:
-        weighted = weighted_prediction(trial)
-        degenerate = False
-    except DegenerateWeightsError:
-        weighted = fmean(f.forecast for f in trial.forecasts)
-        degenerate = True
-    return replace(trial, weighted=weighted, weights_degenerate=degenerate)
+    for o, t in zip(system.objects, sizes):
+        vc = vc_of_size[t]
+        r = radius(vc, vc_star, config.delta)
+        forecasts.append(_agent(o, t, vc, r, system.decisions[o], expert))
+    trial = TrialResult(omega, tuple(forecasts), vc_star, expert=expert, trial_index=trial_index)
+    return _conclude(trial, config)
 
 
 def score_trial(
     trial: TrialResult, expert: float, config: PredictionConfig = PredictionConfig()
 ) -> TrialResult:
-    """Rewards, losses, winner and regret for a built trial.
+    """Rewards, losses, winner and regret for a hand-assembled panel.
 
-    A trial assembled by hand without a weighted prediction gets one
-    filled in first.
+    A panel without a weighted prediction gets one filled in; one it
+    already carries is kept.
     """
-    if trial.weighted is None:
-        trial = _with_weighted(trial)
     scored = tuple(
-        AgentForecast(
-            f.object,
-            f.touching_size,
-            f.vc,
-            f.radius,
-            f.forecast,
-            reward=reward(f.forecast, f.radius, expert),
-            loss=abs(expert - f.forecast),
-        )
+        _agent(f.object, f.touching_size, f.vc, f.radius, f.forecast, expert)
         for f in trial.forecasts
     )
-    trial = replace(trial, expert=expert, forecasts=scored)
-    winner = select_winner(trial, config)
-    return replace(trial, winner=winner, regret=regret(trial))
-
-
-def run_trial(
-    system: DecisionSystem,
-    omega: NewObject,
-    expert: Optional[float] = None,
-    config: PredictionConfig = PredictionConfig(),
-    trial_index: int = 0,
-) -> TrialResult:
-    """One full protocol round; scoring is skipped without an expert."""
-    trial = build_trial(system, omega, config, trial_index)
-    if expert is None:
-        return trial
-    return score_trial(trial, expert, config)
+    return _conclude(replace(trial, expert=expert, forecasts=scored), config)
 
 
 def approx_predicted(trials: Sequence[TrialResult]) -> bool:

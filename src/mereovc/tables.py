@@ -260,3 +260,9 @@ def consistentize(system: DecisionSystem, feature: str = "d") -> DecisionSystem:
         rows,
         dict(system.decisions),
     )
+
+
+def ground_size(system: DecisionSystem) -> int:
+    """Descriptors per row as scored: the feature count, plus one for the
+    decision copy column that consistentize adds to an inconsistent table."""
+    return len(system.features) + (not is_consistent(system))

@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import FrozenSet, Hashable, Iterable, Optional
 
 from .errors import DomainError, FamilyTooLargeError, UndefinedDegreeError
-from .tables import DecisionSystem, Descriptor, NewObject, ObjectId
+from .tables import DecisionSystem, Descriptor, NewObject, ObjectId, ground_size
 
 GroundSet = FrozenSet[Descriptor]
 
@@ -252,21 +252,10 @@ def vc_of_object(
     epsilon: Fraction,
     mode: str = "exact",
 ) -> int:
-    """VC dimension of the epsilon family of one row against omega."""
+    """VC dimension of the epsilon family of one row against omega, on the
+    ground size that run_trial scores with."""
     touch = touching_set(system, o, omega)
-    return vc_count(len(system.features), len(touch), Fraction(epsilon), mode)
-
-
-def vc_star(
-    system: DecisionSystem,
-    omega: NewObject,
-    epsilon: Fraction,
-    mode: str = "exact",
-) -> int:
-    """Maximum per-row VC dimension over the whole system."""
-    if not system.objects:
-        raise DomainError("the system has no objects")
-    return max(vc_of_object(system, o, omega, epsilon, mode) for o in system.objects)
+    return vc_count(ground_size(system), len(touch), Fraction(epsilon), mode)
 
 
 def shatters_bruteforce(family: ComponentFamily, s: GroundSet) -> bool:

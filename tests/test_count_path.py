@@ -1,6 +1,6 @@
 """The count path against the descriptor-set route it replaced.
 
-build_trial reads each agent's touching size as its agreement count with
+run_trial reads each agent's touching size as its agreement count with
 omega and its VC dimension from vc_count, with ground size F+1 for an
 inconsistent table. The old route repaired such a table with a decision
 copy column, gave omega a value there that no row holds, and took VC from
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from mereovc.predict import PredictionConfig, build_trial
+from mereovc.predict import PredictionConfig, run_trial
 from mereovc.tables import (
     DecisionSystem,
     Descriptor,
@@ -29,6 +29,7 @@ from mereovc.vc import (
     touching_set,
     vc_count,
     vc_dimension_bruteforce,
+    vc_of_object,
 )
 
 EPSILONS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
@@ -90,10 +91,16 @@ def test_build_trial_matches_the_descriptor_set_route(epsilon, mode):
         omegas = [system.as_new_object(o) for o in system.objects]
         omegas.append(NewObject.from_mapping({f: "z" for f in system.features}))
         for omega in omegas:
-            trial = build_trial(system, omega, config)
+            want = old_route(system, omega, epsilon, mode)
+            trial = run_trial(system, omega, config=config)
             got = [(f.touching_size, f.vc) for f in trial.forecasts]
-            assert got == old_route(system, omega, epsilon, mode), (
-                system.features, system.rows, omega.as_mapping())
+            assert got == want, (system.features, system.rows, omega.as_mapping())
+            # the public per-row function reads the same ground size
+            got = [
+                (f.touching_size, vc_of_object(system, f.object, omega, epsilon, mode))
+                for f in trial.forecasts
+            ]
+            assert got == want, (system.features, system.rows, omega.as_mapping())
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -126,16 +126,6 @@ class TestLocalize:
             bound = round_bound(top, eta, cfg.radius_tolerance)
             assert len(history) <= bound + 1
 
-    def test_center_policy_hook(self):
-        # a policy that recenters onto the expert value keeps everyone alive
-        cfg = PredictionConfig(eta=0.5, radius_tolerance=1e-2)
-        history, localization, _ = localize(
-            None, self.fixture_trial(), 5.4, cfg,
-            center_policy=lambda o, center, r, rng: 5.4,
-        )
-        assert localization == {0, 1, 2}
-        assert all(s.survivors == {0, 1, 2} for s in history)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             localize(None, panel(), 5.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from mereovc.predict import (
     PredictionConfig,
     TrialResult,
     approx_predicted,
-    build_trial,
     max_rewarded_loss,
     radius,
     regret,
@@ -20,7 +20,7 @@ from mereovc.predict import (
     select_winner,
     weighted_prediction,
 )
-from mereovc.tables import NewObject
+from mereovc.tables import DecisionSystem, NewObject, is_consistent
 
 
 def panel(*rows, vc_star=None, expert=None, **kwargs):
@@ -56,8 +56,8 @@ class TestForecastAndReward:
     def test_default_policy_is_the_decision(self):
         s = load_csv("f,d\nx,4\n")
         cfg = PredictionConfig(delta=5)
-        near = build_trial(s, NewObject.from_mapping({"f": "x"}), cfg)
-        far = build_trial(s, NewObject.from_mapping({"f": "y"}), cfg)
+        near = run_trial(s, NewObject.from_mapping({"f": "x"}), config=cfg)
+        far = run_trial(s, NewObject.from_mapping({"f": "y"}), config=cfg)
         assert [(f.radius, f.forecast) for f in near.forecasts] == [(5, 4.0)]
         assert [(f.radius, f.forecast) for f in far.forecasts] == [(0, 4.0)]
 
@@ -235,3 +235,54 @@ class TestApproxPredicted:
             approx_predicted([])
         with pytest.raises(DomainError):
             approx_predicted([panel((1, 1, 1, 4.0))])
+
+
+def entry_point_cases():
+    """(name, system, omega, expert, epsilon): random tables, consistent and
+    not, plus a tied winner and a panel whose every VC is 0."""
+    rng = random.Random(6)
+    cases = []
+    for index in range(12):
+        features = tuple(f"f{i}" for i in range(rng.randint(1, 4)))
+        rows = [tuple(rng.choice("ab") for _ in features) for _ in range(rng.randint(1, 5))]
+        rows += [rng.choice(rows) for _ in range(index % 3)]
+        decisions = [rng.randint(0, 4) for _ in rows]
+        system = DecisionSystem.from_rows(features, rows, decisions)
+        omega = NewObject.from_mapping({f: rng.choice("abz") for f in features})
+        epsilon = rng.choice([Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1)])
+        cases.append((f"random{index}", system, omega, float(rng.randint(-1, 5)), epsilon))
+    tied = load_csv("f,d\nx,4\nx,6\ny,9\n")
+    cases.append(("tied", tied, NewObject.from_mapping({"f": "x"}), 5.0, Fraction(1)))
+    flat = load_csv("f,d\nx,4\ny,8\n")
+    cases.append(("all_vc_0", flat, NewObject.from_mapping({"f": "z"}), 5.0, Fraction(1)))
+    return cases
+
+
+ENTRY_POINT_CASES = entry_point_cases()
+
+
+def test_entry_point_cases_cover_every_kind():
+    trials = {
+        name: run_trial(system, omega, expert, PredictionConfig(epsilon=epsilon))
+        for name, system, omega, expert, epsilon in ENTRY_POINT_CASES
+    }
+    kinds = [is_consistent(system) for _, system, *_ in ENTRY_POINT_CASES]
+    assert any(kinds) and not all(kinds)
+    rewarded = [f.loss for f in trials["tied"].forecasts if f.reward == 1]
+    assert rewarded == [1.0, 1.0]
+    assert trials["all_vc_0"].weights_degenerate
+
+
+@pytest.mark.parametrize("tie_strategy", ["random", "lowest_object_id"])
+@pytest.mark.parametrize(
+    "name, system, omega, expert, epsilon", ENTRY_POINT_CASES, ids=[c[0] for c in ENTRY_POINT_CASES]
+)
+def test_run_trial_equals_scoring_its_unscored_trial(name, system, omega, expert, epsilon,
+                                                     tie_strategy):
+    cfg = PredictionConfig(epsilon=epsilon, delta=3, tie_strategy=tie_strategy, rng_seed=11)
+    for index in range(3):
+        direct = run_trial(system, omega, expert, cfg, trial_index=index)
+        later = score_trial(run_trial(system, omega, config=cfg, trial_index=index), expert, cfg)
+        assert direct.scored
+        for field in dataclasses.fields(TrialResult):
+            assert getattr(direct, field.name) == getattr(later, field.name), field.name

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import load_csv
 from mereovc.errors import DomainError, FamilyTooLargeError, UndefinedDegreeError
+from mereovc.predict import PredictionConfig, run_trial
 from mereovc.tables import Descriptor, NewObject
 from mereovc.vc import (
     ComponentFamily,
@@ -17,7 +18,6 @@ from mereovc.vc import (
     vc_dimension,
     vc_dimension_bruteforce,
     vc_of_object,
-    vc_star,
 )
 
 
@@ -191,9 +191,9 @@ class TestSystemLevel:
         omega = NewObject.from_mapping({"f1": "1", "f2": "2", "f3": "3"})
         vcs = [vc_of_object(s, o, omega, Fraction(1)) for o in s.objects]
         assert vcs == [3, 2, 0]
-        assert vc_star(s, omega, Fraction(1)) == 3
+        assert run_trial(s, omega, config=PredictionConfig(epsilon=Fraction(1))).vc_star == 3
 
     def test_identical_rows_reach_full_dimension(self):
         s = load_csv("f1,f2,d\nx,y,4\nx,y,5\n")
         omega = NewObject.from_mapping({"f1": "x", "f2": "y"})
-        assert vc_star(s, omega, Fraction(1)) == 2
+        assert run_trial(s, omega, config=PredictionConfig(epsilon=Fraction(1))).vc_star == 2
