@@ -37,6 +37,7 @@ from .predict import (
     PredictionConfig,
     TrialResult,
     approx_predicted,
+    leave_one_out,
     run_trial,
 )
 from .syllogistic import Mood, Premiss, enumerate_moods, is_valid_mood, parse_mood
@@ -88,6 +89,7 @@ __all__ = [
     "indiscernibility_class",
     "is_consistent",
     "is_valid_mood",
+    "leave_one_out",
     "load_decision_system",
     "localize",
     "parse_mood",

@@ -23,12 +23,12 @@ from typing import Iterator, Optional, Sequence, TextIO
 
 from .errors import DomainError, InputError, UsageError
 from .laws import MAX_REPORTED_FAILURES, full_selftest
-from .mistakes import count_mistakes
 from .predict import (
     AgentForecast,
+    LooTrial,
     PredictionConfig,
     TrialResult,
-    approx_predicted,
+    leave_one_out,
     max_rewarded_loss,
     run_trial,
 )
@@ -40,6 +40,9 @@ from .syllogistic import (
     parse_mood,
 )
 from .tables import DecisionSystem, NewObject, load_decision_system, read_records
+
+# Not called here; imported only because perfbench/spans.py rebinds it to time it.
+from .mistakes import count_mistakes  # noqa: F401
 
 
 def parse_rational(text: str) -> Fraction:
@@ -214,6 +217,7 @@ def _parse_omega(source: str, system: DecisionSystem) -> tuple[NewObject, dict]:
 
 
 _CONTAINERS = (dict, list, tuple)
+_NON_FINITE = "the report holds a number outside the float range"
 
 
 def _is_flat(members) -> bool:
@@ -283,9 +287,24 @@ def _dumps(report) -> str:
     try:
         return write(report, "")
     except ValueError:
-        raise DomainError(
-            "the report holds a number outside the float range, so it is not valid JSON"
-        ) from None
+        raise DomainError(f"{_NON_FINITE}, so it is not valid JSON") from None
+
+
+def _csv_text(header: Sequence[str], rows) -> str:
+    """The header and rows as CSV text; a non-finite number is a domain
+    error, as it is in a JSON report."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        if not all(map(_finite_cell, row)):
+            raise DomainError(f"{_NON_FINITE}, so no CSV is written")
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def _finite_cell(cell) -> bool:
+    return not isinstance(cell, float) or math.isfinite(cell)
 
 
 def _forecast_dict(f: AgentForecast, scored: bool) -> dict:
@@ -326,28 +345,37 @@ def cmd_predict(args: argparse.Namespace) -> int:
         report["max_rewarded_loss"] = max_rewarded_loss(trial)
     report["seed"] = config.rng_seed
     if args.output == "csv":
-        out = io.StringIO()
-        fields = ["id", "touching_size", "vc", "radius", "forecast"]
-        if scored:
-            fields += ["reward", "loss"]
-        writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for f in trial.forecasts:
-            writer.writerow(_forecast_dict(f, scored))
-        print(out.getvalue(), end="")
+        records = report["per_object"]
+        print(_csv_text(list(records[0]), map(dict.values, records)), end="")
     else:
         print(_dumps(report))
     return 0
 
 
-def _trial_digest(index: int, holdout, omega_mapping: dict, trial: TrialResult) -> dict:
+def _trial_digest(index: int, omega_mapping: dict, trial: LooTrial) -> dict:
     return {
         "trial": index,
-        "holdout": holdout,
+        "holdout": trial.holdout,
         "omega": omega_mapping,
         "expert": trial.expert,
         "vc_star": trial.vc_star,
-        "per_object": [_forecast_dict(f, True) for f in trial.forecasts],
+        # the records of _forecast_dict, built inline: there is one per
+        # (trial, agent), so a call per record is a measurable share
+        "per_object": [
+            {
+                "id": o,
+                "touching_size": t,
+                "vc": vc,
+                "radius": r,
+                "forecast": f,
+                "reward": w,
+                "loss": loss,
+            }
+            for o, t, vc, r, f, w, loss in zip(
+                trial.objects, trial.touching_sizes, trial.vcs, trial.radii,
+                trial.forecasts, trial.rewards, trial.losses,
+            )
+        ],
         "winner": _winner_json(trial),
         "weighted": trial.weighted,
         "weights_degenerate": trial.weights_degenerate,
@@ -358,46 +386,38 @@ def _trial_digest(index: int, holdout, omega_mapping: dict, trial: TrialResult) 
 def cmd_evaluate_loo(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     system = _load_table(args.table, args.decision)
-    if len(system.objects) < 2:
-        raise DomainError("leave-one-out needs at least two objects")
-    trials = []
-    digests = []
-    for index, holdout in enumerate(system.objects):
-        rest = system.without_object(holdout)
-        omega = system.as_new_object(holdout)
-        expert = system.decisions[holdout]
-        trial = run_trial(rest, omega, expert=expert, config=config, trial_index=index)
-        trials.append(trial)
-        digests.append(_trial_digest(index, holdout, system.row(holdout), trial))
-    ledger = count_mistakes(trials)
+    session = leave_one_out(system, config)
+    trials = session.trials
+    if args.output == "csv":
+        header = ["trial", "holdout", "expert", "vc_star", "winner_id",
+                  "winner_forecast", "weighted", "regret", "mistakes"]
+        rows = (
+            [index, t.holdout, t.expert, t.vc_star, *(t.winner or (None, None)),
+             t.weighted, t.regret, t.mistakes]
+            for index, t in enumerate(trials)
+        )
+        print(_csv_text(header, rows), end="")
+        return 0
+    per_trial = [t.mistakes for t in trials]
     regrets = [t.regret for t in trials]
+    per_object = session.per_object_mistakes
     report = {
         "config": _config_echo(args, config),
         "object_count": len(system.objects),
-        "trials": digests,
-        "approx_predicted": approx_predicted(trials),
+        "trials": [
+            _trial_digest(index, system.row(t.holdout), t) for index, t in enumerate(trials)
+        ],
+        "approx_predicted": session.covered_trials == len(trials),
         "mistakes": {
-            "per_object": {str(o): n for o, n in ledger.per_object_mistakes.items()},
-            "per_trial": list(ledger.per_trial),
-            "total": ledger.total,
-            "covered_trials": sum(ledger.covered),
-            "mistake_free_objects": sorted(ledger.mistake_free_objects),
+            "per_object": {str(o): n for o, n in per_object.items()},
+            "per_trial": per_trial,
+            "total": sum(per_trial),
+            "covered_trials": session.covered_trials,
+            "mistake_free_objects": [o for o, n in per_object.items() if n == 0],
         },
         "regret_stats": {"mean": fmean(regrets), "max": max(regrets)},
     }
-    if args.output == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["trial", "holdout", "expert", "vc_star", "winner_id",
-                         "winner_forecast", "weighted", "regret", "mistakes"])
-        for digest, mist in zip(digests, ledger.per_trial):
-            winner = digest["winner"] or [None, None]
-            writer.writerow([digest["trial"], digest["holdout"], digest["expert"],
-                             digest["vc_star"], winner[0], winner[1],
-                             digest["weighted"], digest["regret"], mist])
-        print(out.getvalue(), end="")
-    else:
-        print(_dumps(report))
+    print(_dumps(report))
     return 0
 
 
@@ -426,19 +446,19 @@ def cmd_moods(args: argparse.Namespace) -> int:
             ]
             print(_dumps(payload))
         else:
-            out = io.StringIO()
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["figure", "premiss1", "premiss2", "conclusion", "valid", "name"])
-            for e in entries:
-                writer.writerow([
+            header = ["figure", "premiss1", "premiss2", "conclusion", "valid", "name"]
+            rows = (
+                [
                     e.figure,
                     e.mood.premiss1.as_text(),
                     e.mood.premiss2.as_text(),
                     e.mood.conclusion.as_text(),
                     "true" if e.valid else "false",
                     e.name or "",
-                ])
-            print(out.getvalue(), end="")
+                ]
+                for e in entries
+            )
+            print(_csv_text(header, rows), end="")
         return 0
     expression = args.expression
     mood = lookup_mood(expression) if "->" not in expression.replace("⊃", "->") else parse_mood(expression)
@@ -497,6 +517,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError:
+        # fmean of finite numbers whose sum leaves the float range
+        print("error: an intermediate sum overflows the float range", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

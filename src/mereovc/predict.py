@@ -13,14 +13,16 @@ weighted prediction averages all forecasts with VC weights.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import eq
+from itertools import compress, repeat
+from operator import eq, itemgetter, mul, not_
 from statistics import fmean
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DegenerateWeightsError, DomainError
-from .tables import DecisionSystem, NewObject, ObjectId, ground_size
+from .tables import DecisionSystem, NewObject, ObjectId, ground_size, loo_ground_sizes
 from .vc import vc_count
 
 # Not called here; imported only because perfbench/spans.py rebinds them to time them.
@@ -117,6 +119,27 @@ def _tie_rng(seed: int, trial_index: int, candidate_ids: Sequence[ObjectId]) -> 
     return random.Random(key)
 
 
+def _pick_winner(
+    rewarded: Sequence[tuple[ObjectId, float, float]], config: PredictionConfig, trial_index: int
+) -> Optional[tuple[ObjectId, float]]:
+    """(object, forecast) of the rewarded agent with minimal loss, given
+    each rewarded agent's (object, loss, forecast); None when there is none.
+
+    Equal losses fall to the tie strategy: a seeded draw keyed by the
+    trial, or the lowest object id.
+    """
+    if not rewarded:
+        return None
+    best_loss = min(loss for _, loss, _ in rewarded)
+    tied = sorted((c for c in rewarded if c[1] == best_loss), key=itemgetter(0))
+    if len(tied) == 1 or config.tie_strategy == "lowest_object_id":
+        pick = tied[0]
+    else:
+        rng = _tie_rng(config.rng_seed, trial_index, [c[0] for c in tied])
+        pick = rng.choice(tied)
+    return (pick[0], pick[2])
+
+
 def select_winner(
     trial: TrialResult, config: PredictionConfig
 ) -> Optional[tuple[ObjectId, float]]:
@@ -127,26 +150,22 @@ def select_winner(
     """
     if trial.expert is None or any(f.reward is None for f in trial.forecasts):
         raise DomainError("select_winner needs a scored trial")
-    rewarded = [f for f in trial.forecasts if f.reward == 1]
-    if not rewarded:
-        return None
-    best_loss = min(f.loss for f in rewarded)
-    tied = sorted((f for f in rewarded if f.loss == best_loss), key=lambda f: f.object)
-    if len(tied) == 1 or config.tie_strategy == "lowest_object_id":
-        pick = tied[0]
-    else:
-        rng = _tie_rng(config.rng_seed, trial.trial_index, [f.object for f in tied])
-        pick = rng.choice(tied)
-    return (pick.object, pick.forecast)
+    rewarded = [(f.object, f.loss, f.forecast) for f in trial.forecasts if f.reward == 1]
+    return _pick_winner(rewarded, config, trial.trial_index)
 
 
-def _weighted(forecasts: Sequence[AgentForecast]) -> tuple[float, bool]:
+def _weighted(forecasts: Sequence[float], vcs: Sequence[int]) -> tuple[float, bool]:
     """The VC-weighted mean and whether every weight is 0, in which case
-    the plain mean of the forecasts stands in for it."""
-    total = sum(f.vc for f in forecasts)
+    the plain mean of the forecasts stands in for it.
+
+    The products are summed by sum() in object order, never by a running
+    total: from Python 3.12 on, sum() adds floats with compensation, so
+    a loop would give different last digits.
+    """
+    total = sum(vcs)
     if total == 0:
-        return fmean(f.forecast for f in forecasts), True
-    return sum(f.forecast * f.vc for f in forecasts) / total, False
+        return fmean(forecasts), True
+    return sum(map(mul, forecasts, vcs)) / total, False
 
 
 def weighted_prediction(trial: TrialResult) -> float:
@@ -155,7 +174,16 @@ def weighted_prediction(trial: TrialResult) -> float:
         raise DegenerateWeightsError(
             "every agent has vc 0, so the weighted prediction is undefined"
         )
-    return _weighted(trial.forecasts)[0]
+    return _weighted([f.forecast for f in trial.forecasts], [f.vc for f in trial.forecasts])[0]
+
+
+def _losses(forecasts: Sequence[float], expert: float) -> list[float]:
+    """Each forecast's absolute distance from the expert value."""
+    return [abs(expert - f) for f in forecasts]
+
+
+def _regret(expert: float, weighted: float, losses: Sequence[float]) -> float:
+    return abs(expert - weighted) - min(losses)
 
 
 def regret(trial: TrialResult) -> float:
@@ -164,8 +192,8 @@ def regret(trial: TrialResult) -> float:
         raise DomainError("regret needs an expert value and a weighted prediction")
     if not trial.forecasts:
         raise DomainError("regret over an empty panel is undefined")
-    best = min(abs(trial.expert - f.forecast) for f in trial.forecasts)
-    return abs(trial.expert - trial.weighted) - best
+    losses = _losses([f.forecast for f in trial.forecasts], trial.expert)
+    return _regret(trial.expert, trial.weighted, losses)
 
 
 def max_rewarded_loss(trial: TrialResult) -> Optional[float]:
@@ -178,22 +206,37 @@ def max_rewarded_loss(trial: TrialResult) -> Optional[float]:
     return max(losses) if losses else None
 
 
-def _agent(
-    o: ObjectId, touching_size: int, vc: int, r: int, forecast: float, expert: Optional[float]
-) -> AgentForecast:
-    """One agent's stake, with reward and loss when an expert value is given."""
-    if expert is None:
-        return AgentForecast(o, touching_size, vc, r, forecast)
-    return AgentForecast(
-        o, touching_size, vc, r, forecast, reward(forecast, r, expert), abs(expert - forecast)
+def _agreement_counts(rows: Sequence[tuple], reference: tuple) -> list[int]:
+    """Each row's touching size: how many of its cells equal the reference's."""
+    return [sum(map(eq, row, reference)) for row in rows]
+
+
+def _competence(
+    sizes: Sequence[int], ground: int, config: PredictionConfig
+) -> tuple[list[int], list[int], int]:
+    """Each agent's VC and radius from its touching size, and the panel
+    maximum VC*; vc_count and radius run once per distinct size."""
+    vc_of_size = {t: vc_count(ground, t, config.epsilon, config.mode) for t in set(sizes)}
+    vc_star = max(vc_of_size.values())
+    radius_of_size = {t: radius(vc, vc_star, config.delta) for t, vc in vc_of_size.items()}
+    return (
+        list(map(vc_of_size.__getitem__, sizes)),
+        list(map(radius_of_size.__getitem__, sizes)),
+        vc_star,
     )
+
+
+def _rewards(forecasts: Sequence[float], radii: Sequence[int], expert: float) -> list[int]:
+    return list(map(reward, forecasts, radii, repeat(expert)))
 
 
 def _conclude(trial: TrialResult, config: PredictionConfig) -> TrialResult:
     """Fill in the weighted prediction unless the trial already has one,
     then the winner and regret when the trial carries an expert value."""
     if trial.weighted is None:
-        weighted, degenerate = _weighted(trial.forecasts)
+        weighted, degenerate = _weighted(
+            [f.forecast for f in trial.forecasts], [f.vc for f in trial.forecasts]
+        )
         trial = replace(trial, weighted=weighted, weights_degenerate=degenerate)
     if trial.expert is None:
         return trial
@@ -224,18 +267,17 @@ def run_trial(
             f"the reference object must assign exactly the system's features "
             f"(missing {missing}, extra {extra})"
         )
-    ground = ground_size(system)
     values = omega.as_mapping()
     reference = tuple(values[f] for f in system.features)
-    sizes = [sum(map(eq, system.rows[o], reference)) for o in system.objects]
-    vc_of_size = {t: vc_count(ground, t, config.epsilon, config.mode) for t in set(sizes)}
-    vc_star = max(vc_of_size.values())
-    forecasts = []
-    for o, t in zip(system.objects, sizes):
-        vc = vc_of_size[t]
-        r = radius(vc, vc_star, config.delta)
-        forecasts.append(_agent(o, t, vc, r, system.decisions[o], expert))
-    trial = TrialResult(omega, tuple(forecasts), vc_star, expert=expert, trial_index=trial_index)
+    objects = system.objects
+    sizes = _agreement_counts([system.rows[o] for o in objects], reference)
+    vcs, radii, vc_star = _competence(sizes, ground_size(system), config)
+    forecasts = [system.decisions[o] for o in objects]
+    columns = [objects, sizes, vcs, radii, forecasts]
+    if expert is not None:
+        columns += [_rewards(forecasts, radii, expert), _losses(forecasts, expert)]
+    agents = tuple(map(AgentForecast, *columns))
+    trial = TrialResult(omega, agents, vc_star, expert=expert, trial_index=trial_index)
     return _conclude(trial, config)
 
 
@@ -247,11 +289,89 @@ def score_trial(
     A panel without a weighted prediction gets one filled in; one it
     already carries is kept.
     """
+    forecasts = [f.forecast for f in trial.forecasts]
+    rewards = _rewards(forecasts, [f.radius for f in trial.forecasts], expert)
     scored = tuple(
-        _agent(f.object, f.touching_size, f.vc, f.radius, f.forecast, expert)
-        for f in trial.forecasts
+        replace(f, reward=w, loss=loss)
+        for f, w, loss in zip(trial.forecasts, rewards, _losses(forecasts, expert))
     )
     return _conclude(replace(trial, expert=expert, forecasts=scored), config)
+
+
+class LooTrial(NamedTuple):
+    """One leave-one-out trial in plain columns.
+
+    The agents are every object but the holdout, in object order. The
+    i-th entry of each column from objects to losses belongs to agent i,
+    as the fields of one scored AgentForecast would; mistakes counts the
+    agents left unrewarded.
+    """
+
+    holdout: ObjectId
+    expert: float
+    vc_star: int
+    objects: tuple[ObjectId, ...]
+    touching_sizes: list[int]
+    vcs: list[int]
+    radii: list[int]
+    forecasts: list[float]
+    rewards: list[int]
+    losses: list[float]
+    winner: Optional[tuple[ObjectId, float]]
+    weighted: float
+    weights_degenerate: bool
+    regret: float
+    mistakes: int
+
+
+class LooSession(NamedTuple):
+    """A leave-one-out pass: one trial per object, in object order, and the
+    per-object reward misses (every object, by id) and covered-trial count
+    that count_mistakes gives over the same trials."""
+
+    trials: list[LooTrial]
+    per_object_mistakes: dict[ObjectId, int]
+    covered_trials: int
+
+
+def leave_one_out(
+    system: DecisionSystem, config: PredictionConfig = PredictionConfig()
+) -> LooSession:
+    """Each object in turn as the new object, scored against its own
+    decision by the panel of all the others.
+
+    Trial i equals run_trial(system.without_object(o), system.as_new_object(o),
+    system.decisions[o], config, i) for the i-th object o, and the ledger
+    equals count_mistakes over those trials, but no rest table, TrialResult
+    or AgentForecast is built: each rest table's ground size comes from
+    the full-feature classes once per session, and each trial is one pass
+    over the other rows.
+    """
+    objects = system.objects
+    if len(objects) < 2:
+        raise DomainError("leave-one-out needs at least two objects")
+    rows = [system.rows[o] for o in objects]
+    decisions = [system.decisions[o] for o in objects]
+    missed: Counter = Counter()
+    trials = []
+    for i, ground in enumerate(loo_ground_sizes(system)):
+        expert = decisions[i]
+        agents = objects[:i] + objects[i + 1:]
+        forecasts = decisions[:i] + decisions[i + 1:]
+        sizes = _agreement_counts(rows[:i] + rows[i + 1:], rows[i])
+        vcs, radii, vc_star = _competence(sizes, ground, config)
+        rewards = _rewards(forecasts, radii, expert)
+        losses = _losses(forecasts, expert)
+        weighted, degenerate = _weighted(forecasts, vcs)
+        rewarded = list(compress(zip(agents, losses, forecasts), rewards))
+        missed.update(compress(agents, map(not_, rewards)))
+        trials.append(LooTrial(
+            objects[i], expert, vc_star, agents, sizes, vcs, radii, forecasts, rewards, losses,
+            _pick_winner(rewarded, config, i), weighted, degenerate,
+            _regret(expert, weighted, losses), len(agents) - len(rewarded),
+        ))
+    covered = sum(t.mistakes < len(t.objects) for t in trials)
+    return LooSession(trials, {o: missed[o] for o in sorted(objects)}, covered)
 
 
 def approx_predicted(trials: Sequence[TrialResult]) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -266,3 +267,24 @@ def ground_size(system: DecisionSystem) -> int:
     """Descriptors per row as scored: the feature count, plus one for the
     decision copy column that consistentize adds to an inconsistent table."""
     return len(system.features) + (not is_consistent(system))
+
+
+def loo_ground_sizes(system: DecisionSystem) -> list[int]:
+    """ground_size(system.without_object(o)) for every object o, in object
+    order, without building a rest table.
+
+    A table is consistent iff every full-feature class has one decision,
+    so the rest table without o is inconsistent iff some class other than
+    o's has mixed decisions, or o's class still has once o is removed.
+    """
+    classes: dict[tuple[Value, ...], Counter] = {}
+    for o in system.objects:
+        classes.setdefault(system.rows[o], Counter())[system.decisions[o]] += 1
+    mixed = sum(len(decisions) > 1 for decisions in classes.values())
+    sizes = []
+    for o in system.objects:
+        decisions = classes[system.rows[o]]
+        own_mixed = len(decisions) > 1
+        still_mixed = len(decisions) - (decisions[system.decisions[o]] == 1) > 1
+        sizes.append(len(system.features) + (mixed - own_mixed > 0 or still_mixed))
+    return sizes

@@ -18,6 +18,9 @@ TOY = (
     "blue,round,large,7\n"
 )
 
+# finite decisions whose differences overflow the float range
+BIG = "a,dec\nx,1e308\ny,-1e308\n"
+
 
 @pytest.fixture
 def table(tmp_path):
@@ -184,6 +187,24 @@ class TestPredict:
         assert lines[0] == "id,touching_size,vc,radius,forecast,reward,loss"
         assert len(lines) == 4
 
+    def test_overflowing_plain_mean_is_a_domain_error(self, capsys, tmp_path):
+        # every vc is 0 at epsilon 1, so the weighted prediction falls back
+        # to fmean, whose sum of three 1e308 forecasts overflows
+        path = tmp_path / "big.csv"
+        path.write_text("a,dec\nx,1e308\nx,1e308\nx,1e308\n", encoding="utf-8")
+        code, out, err = run(capsys, "predict", str(path), "--omega", "a=y")
+        assert (code, out) == (3, "")
+        assert "overflows the float range" in err
+
+    def test_csv_overflowing_loss_is_a_domain_error(self, capsys, tmp_path):
+        # loss |1e308 - -1e308| overflows to inf, which JSON refuses too
+        path = tmp_path / "big.csv"
+        path.write_text(BIG, encoding="utf-8")
+        code, out, err = run(
+            capsys, "predict", str(path), "--omega", "a=y", "--expert=1e308", "--output", "csv")
+        assert (code, out) == (3, "")
+        assert "outside the float range" in err
+
 
 class TestEvaluateLoo:
     def test_report_shape(self, capsys, table):
@@ -238,6 +259,22 @@ class TestEvaluateLoo:
         lines = out.strip().splitlines()
         assert lines[0].startswith("trial,holdout,expert,")
         assert len(lines) == 4
+
+    def test_overflowing_regret_mean_is_a_domain_error(self, capsys, tmp_path):
+        # each regret is finite, but their sum for the mean is not
+        path = tmp_path / "big.csv"
+        path.write_text("a,dec\nx,1e308\ny,-1e308\nz,1e308\n", encoding="utf-8")
+        code, out, err = run(capsys, "evaluate-loo", str(path))
+        assert (code, out) == (3, "")
+        assert "overflows the float range" in err
+
+    def test_csv_non_finite_regret_is_a_domain_error(self, capsys, tmp_path):
+        # weighted -1e308 against expert 1e308 gives regret inf - inf = nan
+        path = tmp_path / "big.csv"
+        path.write_text(BIG, encoding="utf-8")
+        code, out, err = run(capsys, "evaluate-loo", str(path), "--output", "csv")
+        assert (code, out) == (3, "")
+        assert "outside the float range" in err
 
 
 class TestMoods:
