@@ -15,7 +15,6 @@ procedure for the classical syllogistic over Euler-diagram models.
 
 from .errors import (
     DecisionParseError,
-    DegenerateWeightsError,
     DomainError,
     EmptyTermError,
     FamilyTooLargeError,
@@ -58,7 +57,6 @@ __all__ = [
     "ComponentFamily",
     "DecisionParseError",
     "DecisionSystem",
-    "DegenerateWeightsError",
     "DomainError",
     "EmptyTermError",
     "FamilyTooLargeError",

@@ -119,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     selftest.add_argument("--atoms", type=int, default=4,
                           help="atom count for the exhaustive universe (2..5)")
     selftest.add_argument("--random", type=int, default=100, dest="random_universes",
-                          help="number of random sampled universes")
+                          help="number of random sampled universes (0 or more)")
     selftest.add_argument("--max-atoms", type=int, default=10,
-                          help="largest random universe size")
+                          help="largest random universe size (2 or more)")
     selftest.add_argument("--seed", type=int, default=0)
     return parser
 

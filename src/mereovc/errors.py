@@ -59,7 +59,3 @@ class UndefinedDegreeError(DomainError):
 
 class FamilyTooLargeError(DomainError):
     """Ground set exceeds the explicit-enumeration cap."""
-
-
-class DegenerateWeightsError(DomainError):
-    """Every forecasting weight is zero, the weighted average is undefined."""

@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
+from .errors import UsageError
 from .mereology import (
     Term,
     WeightedUniverse,
@@ -313,25 +314,19 @@ def exhaustive_case(universe: WeightedUniverse) -> LawCase:
     return LawCase(universe, terms, pairs, triples, collections)
 
 
-def sampled_case(
-    universe: WeightedUniverse,
-    rng: random.Random,
-    pairs: int = 4,
-    triples: int = 4,
-    collections: int = 2,
-) -> LawCase:
+def sampled_case(universe: WeightedUniverse, rng: random.Random) -> LawCase:
+    """Four random terms, four pairs, four triples and two collections of
+    one to three terms, drawn from rng in that order."""
     atoms = sorted(universe.atoms, key=repr)
 
     def pick() -> Term:
         size = rng.randint(1, len(atoms))
         return universe.term(rng.sample(atoms, size))
 
-    terms = tuple(pick() for _ in range(max(pairs, 3)))
-    pair_tuples = tuple((pick(), pick()) for _ in range(pairs))
-    triple_tuples = tuple((pick(), pick(), pick()) for _ in range(triples))
-    coll_tuples = tuple(
-        tuple(pick() for _ in range(rng.randint(1, 3))) for _ in range(collections)
-    )
+    terms = tuple(pick() for _ in range(4))
+    pair_tuples = tuple((pick(), pick()) for _ in range(4))
+    triple_tuples = tuple((pick(), pick(), pick()) for _ in range(4))
+    coll_tuples = tuple(tuple(pick() for _ in range(rng.randint(1, 3))) for _ in range(2))
     return LawCase(universe, terms, pair_tuples, triple_tuples, coll_tuples)
 
 
@@ -347,13 +342,17 @@ def full_selftest(
     random_universes: int = 100,
     max_atoms: int = 10,
     seed: int = 0,
-    grid_step: Fraction = Fraction(1, 64),
 ) -> list[LawReport]:
-    """Algebra laws plus the t-norm suite, as one flat report list."""
+    """Algebra laws plus the t-norm suite on the 1/64 grid, as one flat
+    report list. A count outside its range is a usage error."""
     from .lukasiewicz import check_t_norm, formula_identities, t_norm
 
     if not 2 <= atoms <= 5:
-        raise ValueError("exhaustive checking is limited to 2..5 atoms")
+        raise UsageError(f"atoms must lie in 2..5 for exhaustive checking, not {atoms}")
+    if random_universes < 0:
+        raise UsageError(f"random_universes must not be negative, not {random_universes}")
+    if max_atoms < 2:
+        raise UsageError(f"max_atoms must be at least 2, not {max_atoms}")
     rng = random.Random(seed)
     cases = [exhaustive_case(WeightedUniverse.uniform(range(1, atoms + 1)))]
     for _ in range(random_universes):
@@ -361,11 +360,11 @@ def full_selftest(
     reports = run_law_suite(cases)
 
     tnorm_report = LawReport("t-norm contract")
-    outcome = check_t_norm(t_norm, grid_step)
+    outcome = check_t_norm(t_norm)
     tnorm_report.check(
         outcome.ok,
         "no violation" if outcome.ok else f"{outcome.violation.condition} at {outcome.violation.point}",
     )
     reports.append(tnorm_report)
-    reports.extend(formula_identities(grid_step))
+    reports.extend(formula_identities())
     return reports

@@ -101,7 +101,6 @@ def grid_points(grid_step: Fraction) -> list[Real]:
 def check_t_norm(
     op: Callable[[Real, Real], Real],
     grid_step: Fraction = Fraction(1, 64),
-    tolerance: float = 1e-9,
 ) -> TNormCheck:
     """Exhaustive t-norm contract check on the grid.
 
@@ -109,9 +108,11 @@ def check_t_norm(
     monotonicity in the first argument, then the boundary laws
     op(x, 1) = x and op(x, 0) = 0. The first violation is returned.
     Monotonicity over consecutive grid points implies monotonicity on
-    the whole grid, so only neighbours are compared.
+    the whole grid, so only neighbours are compared. Values within 1e-9
+    count as equal.
     """
     pts = grid_points(grid_step)
+    tolerance = 1e-9
 
     for x in pts:
         for y in pts:
@@ -142,19 +143,19 @@ def check_t_norm(
     return TNormCheck(True, None)
 
 
-def formula_identities(
-    grid_step: Fraction = Fraction(1, 64), tolerance: float = 1e-9
-):
+def formula_identities(grid_step: Fraction = Fraction(1, 64)):
     """Grid checks tying the derived operators to the primitive ones.
 
     Returns LawReport records for: negation as implication into 0, weak
     conjunction recovered from the strong ones, weak disjunction from
     nested implications, strong disjunction by De Morgan, the residuation
     boundary of the implication, and the propagation closed forms.
+    Values within 1e-9 count as equal.
     """
     from .laws import LawReport
 
     pts = grid_points(grid_step)
+    tolerance = 1e-9
     reports = {
         name: LawReport(name)
         for name in (

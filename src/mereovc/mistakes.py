@@ -65,12 +65,11 @@ def count_mistakes(trials: Sequence[TrialResult]) -> MistakeLedger:
 
 @dataclass(frozen=True)
 class LocalizationState:
-    """One round's outcome: who survived, checked at which neighborhoods."""
+    """One round's outcome: who survived, checked at which radii."""
 
     round: int
     survivors: frozenset[ObjectId]
     radii: Mapping[ObjectId, float]
-    centers: Mapping[ObjectId, float]
 
 
 class LocalizationResult(NamedTuple):
@@ -109,33 +108,23 @@ def localize(
         stray = {f.object for f in trial.forecasts} - set(system.objects)
         if stray:
             raise DomainError(f"trial agents {sorted(stray, key=repr)} are not in the system")
-    survivors = frozenset(f.object for f in trial.forecasts)
-    radii = {f.object: float(f.radius) for f in trial.forecasts}
     centers = {f.object: float(f.forecast) for f in trial.forecasts}
-    fore_last = (survivors, dict(radii), dict(centers))
+    survivors = frozenset(centers)
+    radii = {f.object: float(f.radius) for f in trial.forecasts}
+    fore_last = (survivors, radii)
     history: list[LocalizationState] = []
-    round_no = 0
     while True:
-        keep = frozenset(
-            o for o in survivors if abs(expert - centers[o]) <= radii[o]
-        )
-        history.append(
-            LocalizationState(
-                round=round_no,
-                survivors=keep,
-                radii={o: radii[o] for o in keep},
-                centers={o: centers[o] for o in keep},
-            )
-        )
+        keep = frozenset(o for o in survivors if abs(expert - centers[o]) <= radii[o])
+        checked = {o: radii[o] for o in keep}
+        history.append(LocalizationState(len(history), keep, checked))
         if not keep:
             break
-        fore_last = (keep, {o: radii[o] for o in keep}, {o: centers[o] for o in keep})
+        fore_last = (keep, checked)
         survivors = keep
-        radii = {o: radii[o] * config.eta for o in keep}
+        radii = {o: r * config.eta for o, r in checked.items()}
         if all(r < config.radius_tolerance for r in radii.values()):
             break
-        round_no += 1
-    last_set, last_radii, last_centers = fore_last
-    lo = min(last_centers[o] - last_radii[o] for o in last_set)
-    hi = max(last_centers[o] + last_radii[o] for o in last_set)
+    last_set, last_radii = fore_last
+    lo = min(centers[o] - last_radii[o] for o in last_set)
+    hi = max(centers[o] + last_radii[o] for o in last_set)
     return LocalizationResult(history, last_set, (lo, hi))

@@ -21,7 +21,7 @@ from operator import eq, itemgetter, mul, not_
 from statistics import fmean
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import DegenerateWeightsError, DomainError
+from .errors import DomainError
 from .tables import DecisionSystem, NewObject, ObjectId, ground_size, loo_ground_sizes
 from .vc import vc_count
 
@@ -140,20 +140,6 @@ def _pick_winner(
     return (pick[0], pick[2])
 
 
-def select_winner(
-    trial: TrialResult, config: PredictionConfig
-) -> Optional[tuple[ObjectId, float]]:
-    """The rewarded agent with minimal loss, or None when nobody scored.
-
-    Equal losses fall to the tie strategy: a seeded draw keyed by the
-    trial, or the lowest object id.
-    """
-    if trial.expert is None or any(f.reward is None for f in trial.forecasts):
-        raise DomainError("select_winner needs a scored trial")
-    rewarded = [(f.object, f.loss, f.forecast) for f in trial.forecasts if f.reward == 1]
-    return _pick_winner(rewarded, config, trial.trial_index)
-
-
 def _weighted(forecasts: Sequence[float], vcs: Sequence[int]) -> tuple[float, bool]:
     """The VC-weighted mean and whether every weight is 0, in which case
     the plain mean of the forecasts stands in for it.
@@ -166,34 +152,6 @@ def _weighted(forecasts: Sequence[float], vcs: Sequence[int]) -> tuple[float, bo
     if total == 0:
         return fmean(forecasts), True
     return sum(map(mul, forecasts, vcs)) / total, False
-
-
-def weighted_prediction(trial: TrialResult) -> float:
-    """VC-weighted average of the forecasts; the panel maximum cancels."""
-    if all(f.vc == 0 for f in trial.forecasts):
-        raise DegenerateWeightsError(
-            "every agent has vc 0, so the weighted prediction is undefined"
-        )
-    return _weighted([f.forecast for f in trial.forecasts], [f.vc for f in trial.forecasts])[0]
-
-
-def _losses(forecasts: Sequence[float], expert: float) -> list[float]:
-    """Each forecast's absolute distance from the expert value."""
-    return [abs(expert - f) for f in forecasts]
-
-
-def _regret(expert: float, weighted: float, losses: Sequence[float]) -> float:
-    return abs(expert - weighted) - min(losses)
-
-
-def regret(trial: TrialResult) -> float:
-    """Weighted-prediction loss minus the best single forecast's loss."""
-    if trial.expert is None or trial.weighted is None:
-        raise DomainError("regret needs an expert value and a weighted prediction")
-    if not trial.forecasts:
-        raise DomainError("regret over an empty panel is undefined")
-    losses = _losses([f.forecast for f in trial.forecasts], trial.expert)
-    return _regret(trial.expert, trial.weighted, losses)
 
 
 def max_rewarded_loss(trial: TrialResult) -> Optional[float]:
@@ -226,21 +184,25 @@ def _competence(
     )
 
 
-def _rewards(forecasts: Sequence[float], radii: Sequence[int], expert: float) -> list[int]:
-    return list(map(reward, forecasts, radii, repeat(expert)))
+def _score(
+    objects: Sequence[ObjectId],
+    forecasts: Sequence[float],
+    radii: Sequence[int],
+    weighted: float,
+    expert: float,
+    config: PredictionConfig,
+    trial_index: int,
+) -> tuple[list[int], list[float], Optional[tuple[ObjectId, float]], float]:
+    """A panel's rewards, losses, winner and regret against the expert value.
 
-
-def _conclude(trial: TrialResult, config: PredictionConfig) -> TrialResult:
-    """Fill in the weighted prediction unless the trial already has one,
-    then the winner and regret when the trial carries an expert value."""
-    if trial.weighted is None:
-        weighted, degenerate = _weighted(
-            [f.forecast for f in trial.forecasts], [f.vc for f in trial.forecasts]
-        )
-        trial = replace(trial, weighted=weighted, weights_degenerate=degenerate)
-    if trial.expert is None:
-        return trial
-    return replace(trial, winner=select_winner(trial, config), regret=regret(trial))
+    The regret is the weighted prediction's loss minus the best single
+    forecast's loss.
+    """
+    rewards = list(map(reward, forecasts, radii, repeat(expert)))
+    losses = [abs(expert - f) for f in forecasts]
+    winner = _pick_winner(list(compress(zip(objects, losses, forecasts), rewards)),
+                          config, trial_index)
+    return rewards, losses, winner, abs(expert - weighted) - min(losses)
 
 
 def run_trial(
@@ -273,29 +235,40 @@ def run_trial(
     sizes = _agreement_counts([system.rows[o] for o in objects], reference)
     vcs, radii, vc_star = _competence(sizes, ground_size(system), config)
     forecasts = [system.decisions[o] for o in objects]
-    columns = [objects, sizes, vcs, radii, forecasts]
+    weighted, degenerate = _weighted(forecasts, vcs)
+    rewards = losses = repeat(None)
+    winner = regret = None
     if expert is not None:
-        columns += [_rewards(forecasts, radii, expert), _losses(forecasts, expert)]
-    agents = tuple(map(AgentForecast, *columns))
-    trial = TrialResult(omega, agents, vc_star, expert=expert, trial_index=trial_index)
-    return _conclude(trial, config)
+        rewards, losses, winner, regret = _score(
+            objects, forecasts, radii, weighted, expert, config, trial_index
+        )
+    agents = tuple(map(AgentForecast, objects, sizes, vcs, radii, forecasts, rewards, losses))
+    return TrialResult(
+        omega, agents, vc_star, expert, winner, weighted, regret, degenerate, trial_index
+    )
 
 
 def score_trial(
     trial: TrialResult, expert: float, config: PredictionConfig = PredictionConfig()
 ) -> TrialResult:
-    """Rewards, losses, winner and regret for a hand-assembled panel.
-
-    A panel without a weighted prediction gets one filled in; one it
-    already carries is kept.
-    """
+    """Rewards, losses, winner, weighted prediction and regret for a
+    hand-assembled panel; the weighted prediction always comes from the
+    panel's VCs, whatever value the panel carries."""
+    if not trial.forecasts:
+        raise DomainError("scoring needs a panel of at least one agent")
     forecasts = [f.forecast for f in trial.forecasts]
-    rewards = _rewards(forecasts, [f.radius for f in trial.forecasts], expert)
-    scored = tuple(
-        replace(f, reward=w, loss=loss)
-        for f, w, loss in zip(trial.forecasts, rewards, _losses(forecasts, expert))
+    weighted, degenerate = _weighted(forecasts, [f.vc for f in trial.forecasts])
+    rewards, losses, winner, regret = _score(
+        [f.object for f in trial.forecasts], forecasts, [f.radius for f in trial.forecasts],
+        weighted, expert, config, trial.trial_index,
     )
-    return _conclude(replace(trial, expert=expert, forecasts=scored), config)
+    scored = tuple(
+        replace(f, reward=w, loss=loss) for f, w, loss in zip(trial.forecasts, rewards, losses)
+    )
+    return replace(
+        trial, forecasts=scored, expert=expert, winner=winner, weighted=weighted,
+        regret=regret, weights_degenerate=degenerate,
+    )
 
 
 class LooTrial(NamedTuple):
@@ -360,15 +333,14 @@ def leave_one_out(
         forecasts = decisions[:i] + decisions[i + 1:]
         sizes = _agreement_counts(rows[:i] + rows[i + 1:], rows[i])
         vcs, radii, vc_star = _competence(sizes, ground, config)
-        rewards = _rewards(forecasts, radii, expert)
-        losses = _losses(forecasts, expert)
         weighted, degenerate = _weighted(forecasts, vcs)
-        rewarded = list(compress(zip(agents, losses, forecasts), rewards))
+        rewards, losses, winner, regret = _score(
+            agents, forecasts, radii, weighted, expert, config, i
+        )
         missed.update(compress(agents, map(not_, rewards)))
         trials.append(LooTrial(
             objects[i], expert, vc_star, agents, sizes, vcs, radii, forecasts, rewards, losses,
-            _pick_winner(rewarded, config, i), weighted, degenerate,
-            _regret(expert, weighted, losses), len(agents) - len(rewarded),
+            winner, weighted, degenerate, regret, rewards.count(0),
         ))
     covered = sum(t.mistakes < len(t.objects) for t in trials)
     return LooSession(trials, {o: missed[o] for o in sorted(objects)}, covered)

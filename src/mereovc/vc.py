@@ -86,13 +86,13 @@ def inclusion_degree(candidate: Iterable[Hashable], touching: Iterable[Hashable]
     return Fraction(len(cset & frozenset(touching)), len(cset))
 
 
-def epsilon_components(family: ComponentFamily, cap: int = 20) -> list[GroundSet]:
-    """Every family member, by explicit enumeration. Guarded by cap."""
+def epsilon_components(family: ComponentFamily) -> list[GroundSet]:
+    """Every family member, by explicit enumeration of at most 20 descriptors."""
     ground = sorted(family.ground, key=repr)
-    if len(ground) > cap:
+    if len(ground) > 20:
         raise FamilyTooLargeError(
             f"enumeration over {len(ground)} descriptors exceeds the cap of "
-            f"{cap}; use vc_of_object for large rows"
+            "20; use vc_of_object for large rows"
         )
     members = []
     for size in range(1, len(ground) + 1):

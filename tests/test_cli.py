@@ -326,6 +326,15 @@ class TestAlgebraSelftest:
         assert "all" in out.splitlines()[-1]
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--atoms", "1"], ["--atoms", "6"], ["--max-atoms", "1"], ["--random", "-1"]],
+    )
+    def test_out_of_range_counts_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "algebra", "selftest", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 def test_unknown_flag_exits_2(capsys):
     code = main(["predict", "--bogus"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import load_csv
-from mereovc.errors import DegenerateWeightsError, DomainError
+from mereovc.errors import DomainError
 from mereovc.predict import (
     AgentForecast,
     PredictionConfig,
@@ -13,12 +13,9 @@ from mereovc.predict import (
     approx_predicted,
     max_rewarded_loss,
     radius,
-    regret,
     reward,
     run_trial,
     score_trial,
-    select_winner,
-    weighted_prediction,
 )
 from mereovc.tables import DecisionSystem, NewObject, is_consistent
 
@@ -102,9 +99,18 @@ class TestScoring:
         assert all(f.reward == 0 for f in scored.forecasts)
         assert max_rewarded_loss(scored) is None
 
-    def test_winner_needs_scored_trial(self):
-        with pytest.raises(DomainError):
-            select_winner(panel((1, 1, 1, 4.0)), PredictionConfig())
+    def test_empty_panel_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="at least one agent"):
+            score_trial(panel(), 5.0)
+
+    def test_stale_weighted_value_is_recomputed(self):
+        # a panel carrying a weighted value gets the one its VCs give, and
+        # the regret is measured from that value
+        trial = panel((1, 1, 2, 4.0), (2, 3, 2, 8.0), weighted=100.0, weights_degenerate=True)
+        scored = score_trial(trial, 5.0)
+        assert scored.weighted == 7.0
+        assert not scored.weights_degenerate
+        assert scored.regret == 1.0
 
     def test_tie_by_lowest_object_id(self):
         cfg = PredictionConfig(tie_strategy="lowest")
@@ -137,14 +143,15 @@ class TestScoring:
 
 class TestWeightedPrediction:
     def test_single_object(self):
-        assert weighted_prediction(panel((1, 3, 2, 6.0))) == 6.0
+        assert score_trial(panel((1, 3, 2, 6.0)), 5.0).weighted == 6.0
 
     def test_constant_forecasts(self):
-        assert weighted_prediction(panel((1, 1, 0, 5.0), (2, 9, 0, 5.0))) == 5.0
+        assert score_trial(panel((1, 1, 0, 5.0), (2, 9, 0, 5.0)), 1.0).weighted == 5.0
 
-    def test_degenerate_weights(self):
-        with pytest.raises(DegenerateWeightsError):
-            weighted_prediction(panel((1, 0, 0, 4.0), (2, 0, 0, 8.0)))
+    def test_all_vc_0_falls_back_to_the_plain_mean(self):
+        scored = score_trial(panel((1, 0, 0, 4.0), (2, 0, 0, 8.0)), 5.0)
+        assert scored.weights_degenerate
+        assert scored.weighted == 6.0
 
     def test_convexity(self):
         rng = random.Random(5)
@@ -153,17 +160,14 @@ class TestWeightedPrediction:
                 (i, rng.randint(0, 4), 0, rng.uniform(-10, 10))
                 for i in range(rng.randint(1, 6))
             ]
-            trial = panel(*rows)
-            if sum(f.vc for f in trial.forecasts) == 0:
-                continue
-            w = weighted_prediction(trial)
+            trial = score_trial(panel(*rows), 0.0)
+            assert trial.weights_degenerate == all(vc == 0 for _, vc, _, _ in rows)
             values = [f.forecast for f in trial.forecasts]
-            assert min(values) - 1e-9 <= w <= max(values) + 1e-9
+            assert min(values) - 1e-9 <= trial.weighted <= max(values) + 1e-9
 
     def test_regret_single_object_is_zero(self):
         scored = score_trial(panel((1, 1, 3, 6.0)), 5.0)
         assert scored.regret == 0.0
-        assert regret(scored) == 0.0
 
 
 class TestRunTrial:
