@@ -32,7 +32,6 @@ from .lukasiewicz import check_t_norm, propagate
 from .mereology import Term, WeightedUniverse, degree_of_part
 from .mistakes import LocalizationResult, MistakeLedger, count_mistakes, localize
 from .predict import (
-    AgentForecast,
     PredictionConfig,
     TrialResult,
     approx_predicted,
@@ -53,7 +52,6 @@ from .vc import ComponentFamily, vc_dimension, vc_of_object
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentForecast",
     "ComponentFamily",
     "DecisionParseError",
     "DecisionSystem",

@@ -23,9 +23,8 @@ from typing import Iterator, Optional, Sequence, TextIO
 
 from .errors import DomainError, InputError, UsageError
 from .laws import MAX_REPORTED_FAILURES, full_selftest
+from .mistakes import count_mistakes
 from .predict import (
-    AgentForecast,
-    LooTrial,
     PredictionConfig,
     TrialResult,
     leave_one_out,
@@ -40,9 +39,6 @@ from .syllogistic import (
     parse_mood,
 )
 from .tables import DecisionSystem, NewObject, load_decision_system, read_records
-
-# Not called here; imported only because perfbench/spans.py rebinds it to time it.
-from .mistakes import count_mistakes  # noqa: F401
 
 
 def parse_rational(text: str) -> Fraction:
@@ -307,22 +303,36 @@ def _finite_cell(cell) -> bool:
     return not isinstance(cell, float) or math.isfinite(cell)
 
 
-def _forecast_dict(f: AgentForecast, scored: bool) -> dict:
-    entry = {
-        "id": f.object,
-        "touching_size": f.touching_size,
-        "vc": f.vc,
-        "radius": f.radius,
-        "forecast": f.forecast,
+def _trial_fields(trial: TrialResult) -> dict:
+    """A trial's report entries from the expert value to the regret, with
+    one record per agent; an unscored trial has no expert, reward, loss,
+    winner or regret."""
+    columns = (trial.objects, trial.touching_sizes, trial.vcs, trial.radii, trial.forecasts)
+    if trial.rewards is None:
+        return {
+            "vc_star": trial.vc_star,
+            "per_object": [
+                {"id": o, "touching_size": t, "vc": vc, "radius": r, "forecast": f}
+                for o, t, vc, r, f in zip(*columns)
+            ],
+            "weighted": trial.weighted,
+            "weights_degenerate": trial.weights_degenerate,
+        }
+    return {
+        "expert": trial.expert,
+        "vc_star": trial.vc_star,
+        # a dict display per record: there is one per (trial, agent), so a
+        # call per record would be a measurable share of evaluate-loo
+        "per_object": [
+            {"id": o, "touching_size": t, "vc": vc, "radius": r, "forecast": f,
+             "reward": w, "loss": loss}
+            for o, t, vc, r, f, w, loss in zip(*columns, trial.rewards, trial.losses)
+        ],
+        "winner": list(trial.winner) if trial.winner is not None else None,
+        "weighted": trial.weighted,
+        "weights_degenerate": trial.weights_degenerate,
+        "regret": trial.regret,
     }
-    if scored:
-        entry["reward"] = f.reward
-        entry["loss"] = f.loss
-    return entry
-
-
-def _winner_json(trial: TrialResult):
-    return list(trial.winner) if trial.winner is not None else None
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -330,18 +340,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     system = _load_table(args.table, args.decision)
     omega, omega_mapping = _parse_omega(args.omega, system)
     trial = run_trial(system, omega, expert=args.expert, config=config)
-    scored = args.expert is not None
-    report = {"config": _config_echo(args, config), "omega": omega_mapping}
-    if scored:
-        report["expert"] = trial.expert
-    report["vc_star"] = trial.vc_star
-    report["per_object"] = [_forecast_dict(f, scored) for f in trial.forecasts]
-    if scored:
-        report["winner"] = _winner_json(trial)
-    report["weighted"] = trial.weighted
-    report["weights_degenerate"] = trial.weights_degenerate
-    if scored:
-        report["regret"] = trial.regret
+    report = {"config": _config_echo(args, config), "omega": omega_mapping, **_trial_fields(trial)}
+    if args.expert is not None:
         report["max_rewarded_loss"] = max_rewarded_loss(trial)
     report["seed"] = config.rng_seed
     if args.output == "csv":
@@ -352,68 +352,43 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trial_digest(index: int, omega_mapping: dict, trial: LooTrial) -> dict:
+def _trial_digest(system: DecisionSystem, trial: TrialResult) -> dict:
+    holdout = system.objects[trial.trial_index]
     return {
-        "trial": index,
-        "holdout": trial.holdout,
-        "omega": omega_mapping,
-        "expert": trial.expert,
-        "vc_star": trial.vc_star,
-        # the records of _forecast_dict, built inline: there is one per
-        # (trial, agent), so a call per record is a measurable share
-        "per_object": [
-            {
-                "id": o,
-                "touching_size": t,
-                "vc": vc,
-                "radius": r,
-                "forecast": f,
-                "reward": w,
-                "loss": loss,
-            }
-            for o, t, vc, r, f, w, loss in zip(
-                trial.objects, trial.touching_sizes, trial.vcs, trial.radii,
-                trial.forecasts, trial.rewards, trial.losses,
-            )
-        ],
-        "winner": _winner_json(trial),
-        "weighted": trial.weighted,
-        "weights_degenerate": trial.weights_degenerate,
-        "regret": trial.regret,
+        "trial": trial.trial_index,
+        "holdout": holdout,
+        "omega": system.row(holdout),
+        **_trial_fields(trial),
     }
 
 
 def cmd_evaluate_loo(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     system = _load_table(args.table, args.decision)
-    session = leave_one_out(system, config)
-    trials = session.trials
+    trials = leave_one_out(system, config)
+    ledger = count_mistakes(trials)
     if args.output == "csv":
         header = ["trial", "holdout", "expert", "vc_star", "winner_id",
                   "winner_forecast", "weighted", "regret", "mistakes"]
         rows = (
-            [index, t.holdout, t.expert, t.vc_star, *(t.winner or (None, None)),
-             t.weighted, t.regret, t.mistakes]
-            for index, t in enumerate(trials)
+            [t.trial_index, o, t.expert, t.vc_star, *(t.winner or (None, None)),
+             t.weighted, t.regret, misses]
+            for o, t, misses in zip(system.objects, trials, ledger.per_trial)
         )
         print(_csv_text(header, rows), end="")
         return 0
-    per_trial = [t.mistakes for t in trials]
     regrets = [t.regret for t in trials]
-    per_object = session.per_object_mistakes
     report = {
         "config": _config_echo(args, config),
         "object_count": len(system.objects),
-        "trials": [
-            _trial_digest(index, system.row(t.holdout), t) for index, t in enumerate(trials)
-        ],
-        "approx_predicted": session.covered_trials == len(trials),
+        "trials": [_trial_digest(system, t) for t in trials],
+        "approx_predicted": all(ledger.covered),
         "mistakes": {
-            "per_object": {str(o): n for o, n in per_object.items()},
-            "per_trial": per_trial,
-            "total": sum(per_trial),
-            "covered_trials": session.covered_trials,
-            "mistake_free_objects": [o for o, n in per_object.items() if n == 0],
+            "per_object": {str(o): n for o, n in ledger.per_object_mistakes.items()},
+            "per_trial": ledger.per_trial,
+            "total": ledger.total,
+            "covered_trials": sum(ledger.covered),
+            "mistake_free_objects": sorted(ledger.mistake_free_objects),
         },
         "regret_stats": {"mean": fmean(regrets), "max": max(regrets)},
     }

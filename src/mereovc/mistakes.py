@@ -12,7 +12,10 @@ neighborhoods it was checked at.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
@@ -39,27 +42,22 @@ def count_mistakes(trials: Sequence[TrialResult]) -> MistakeLedger:
     """
     if not trials:
         raise DomainError("mistake counting needs at least one trial")
-    per_object: dict[ObjectId, int] = {}
+    agents: set[ObjectId] = set()
+    missed: Counter = Counter()
     per_trial = []
-    covered = []
     for trial in trials:
-        if not trial.scored:
+        if trial.rewards is None:
             raise DomainError("mistake counting needs scored trials")
-        misses = 0
-        for f in trial.forecasts:
-            per_object.setdefault(f.object, 0)
-            if f.reward == 0:
-                per_object[f.object] += 1
-                misses += 1
-        per_trial.append(misses)
-        covered.append(misses < len(trial.forecasts))
-    mistake_free = frozenset(o for o, n in per_object.items() if n == 0)
+        agents.update(trial.objects)
+        missed.update(compress(trial.objects, map(not_, trial.rewards)))
+        per_trial.append(trial.rewards.count(0))
+    per_object = {o: missed[o] for o in sorted(agents)}
     return MistakeLedger(
-        per_object_mistakes=dict(sorted(per_object.items())),
+        per_object_mistakes=per_object,
         per_trial=tuple(per_trial),
         total=sum(per_trial),
-        covered=tuple(covered),
-        mistake_free_objects=mistake_free,
+        covered=tuple(n < len(t.objects) for t, n in zip(trials, per_trial)),
+        mistake_free_objects=frozenset(o for o, n in per_object.items() if n == 0),
     )
 
 
@@ -102,15 +100,15 @@ def localize(
     The system argument is only used to cross-check agent ids and may be
     None for hand-built trials.
     """
-    if not trial.forecasts:
+    if not trial.objects:
         raise DomainError("localization needs at least one agent")
     if system is not None:
-        stray = {f.object for f in trial.forecasts} - set(system.objects)
+        stray = set(trial.objects) - set(system.objects)
         if stray:
             raise DomainError(f"trial agents {sorted(stray, key=repr)} are not in the system")
-    centers = {f.object: float(f.forecast) for f in trial.forecasts}
+    centers = dict(zip(trial.objects, map(float, trial.forecasts)))
     survivors = frozenset(centers)
-    radii = {f.object: float(f.radius) for f in trial.forecasts}
+    radii = dict(zip(trial.objects, map(float, trial.radii)))
     fore_last = (survivors, radii)
     history: list[LocalizationState] = []
     while True:

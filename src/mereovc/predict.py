@@ -13,11 +13,10 @@ weighted prediction averages all forecasts with VC weights.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import eq, itemgetter, mul, not_
+from operator import eq, itemgetter, mul
 from statistics import fmean
 from typing import NamedTuple, Optional, Sequence
 
@@ -62,41 +61,29 @@ class PredictionConfig:
             raise DomainError("radius_tolerance must be positive")
 
 
-@dataclass(frozen=True)
-class AgentForecast:
-    """One agent's stake in a trial.
+class TrialResult(NamedTuple):
+    """Everything one new object elicited from a panel, in columns.
 
-    reward and loss stay None until an expert value has been scored.
+    The i-th entry of each column from objects to forecasts, and of rewards
+    and losses once scored, belongs to agent i. A hand-assembled panel
+    needs only the columns and vc_star; expert, rewards, losses, winner
+    and regret stay None until the trial is scored against an expert value.
     """
 
-    object: ObjectId
-    touching_size: int
-    vc: int
-    radius: int
-    forecast: float
-    reward: Optional[int] = None
-    loss: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """Everything one reference object elicited from the panel."""
-
-    omega: NewObject
-    forecasts: tuple[AgentForecast, ...]
+    objects: tuple[ObjectId, ...]
+    touching_sizes: Sequence[int]
+    vcs: Sequence[int]
+    radii: Sequence[int]
+    forecasts: Sequence[float]
     vc_star: int
-    expert: Optional[float] = None
-    winner: Optional[tuple[ObjectId, float]] = None
     weighted: Optional[float] = None
-    regret: Optional[float] = None
     weights_degenerate: bool = False
     trial_index: int = 0
-
-    @property
-    def scored(self) -> bool:
-        return self.expert is not None and all(
-            f.reward is not None for f in self.forecasts
-        )
+    expert: Optional[float] = None
+    rewards: Optional[list[int]] = None
+    losses: Optional[list[float]] = None
+    winner: Optional[tuple[ObjectId, float]] = None
+    regret: Optional[float] = None
 
 
 def radius(vc: int, vc_star: int, delta: int) -> int:
@@ -155,13 +142,13 @@ def _weighted(forecasts: Sequence[float], vcs: Sequence[int]) -> tuple[float, bo
 
 
 def max_rewarded_loss(trial: TrialResult) -> Optional[float]:
-    """Largest loss among rewarded agents; a cheap sanity diagnostic.
+    """Largest loss among rewarded agents, None when nobody is rewarded or
+    the trial is unscored; a cheap sanity diagnostic.
 
-    Always strictly below 2*delta, because a rewarded loss is capped by
-    the agent's radius, which is capped by delta.
+    Never above delta: an agent is rewarded only when its loss is at most
+    its radius, and no radius exceeds delta.
     """
-    losses = [f.loss for f in trial.forecasts if f.reward == 1]
-    return max(losses) if losses else None
+    return max(compress(trial.losses or (), trial.rewards or ()), default=None)
 
 
 def _agreement_counts(rows: Sequence[tuple], reference: tuple) -> list[int]:
@@ -169,40 +156,53 @@ def _agreement_counts(rows: Sequence[tuple], reference: tuple) -> list[int]:
     return [sum(map(eq, row, reference)) for row in rows]
 
 
-def _competence(
-    sizes: Sequence[int], ground: int, config: PredictionConfig
-) -> tuple[list[int], list[int], int]:
-    """Each agent's VC and radius from its touching size, and the panel
-    maximum VC*; vc_count and radius run once per distinct size."""
+def _panel(
+    objects: tuple[ObjectId, ...],
+    sizes: list[int],
+    forecasts: list[float],
+    ground: int,
+    config: PredictionConfig,
+    trial_index: int,
+) -> TrialResult:
+    """The agents' columns from their touching sizes: each VC and radius,
+    and the panel maximum VC*; vc_count and radius run once per distinct
+    size."""
     vc_of_size = {t: vc_count(ground, t, config.epsilon, config.mode) for t in set(sizes)}
     vc_star = max(vc_of_size.values())
     radius_of_size = {t: radius(vc, vc_star, config.delta) for t, vc in vc_of_size.items()}
-    return (
+    return TrialResult(
+        objects,
+        sizes,
         list(map(vc_of_size.__getitem__, sizes)),
         list(map(radius_of_size.__getitem__, sizes)),
+        forecasts,
         vc_star,
+        trial_index=trial_index,
     )
 
 
-def _score(
-    objects: Sequence[ObjectId],
-    forecasts: Sequence[float],
-    radii: Sequence[int],
-    weighted: float,
-    expert: float,
-    config: PredictionConfig,
-    trial_index: int,
-) -> tuple[list[int], list[float], Optional[tuple[ObjectId, float]], float]:
-    """A panel's rewards, losses, winner and regret against the expert value.
+def _finish(panel: TrialResult, expert: Optional[float], config: PredictionConfig) -> TrialResult:
+    """The panel with its weighted prediction from its own VCs and, given
+    an expert value, its rewards, losses, winner and regret.
 
     The regret is the weighted prediction's loss minus the best single
     forecast's loss.
     """
-    rewards = list(map(reward, forecasts, radii, repeat(expert)))
-    losses = [abs(expert - f) for f in forecasts]
-    winner = _pick_winner(list(compress(zip(objects, losses, forecasts), rewards)),
-                          config, trial_index)
-    return rewards, losses, winner, abs(expert - weighted) - min(losses)
+    weighted, degenerate = _weighted(panel.forecasts, panel.vcs)
+    if expert is None:
+        return panel._replace(weighted=weighted, weights_degenerate=degenerate)
+    rewards = list(map(reward, panel.forecasts, panel.radii, repeat(expert)))
+    losses = [abs(expert - f) for f in panel.forecasts]
+    rewarded = list(compress(zip(panel.objects, losses, panel.forecasts), rewards))
+    return panel._replace(
+        weighted=weighted,
+        weights_degenerate=degenerate,
+        expert=expert,
+        rewards=rewards,
+        losses=losses,
+        winner=_pick_winner(rewarded, config, panel.trial_index),
+        regret=abs(expert - weighted) - min(losses),
+    )
 
 
 def run_trial(
@@ -233,117 +233,49 @@ def run_trial(
     reference = tuple(values[f] for f in system.features)
     objects = system.objects
     sizes = _agreement_counts([system.rows[o] for o in objects], reference)
-    vcs, radii, vc_star = _competence(sizes, ground_size(system), config)
     forecasts = [system.decisions[o] for o in objects]
-    weighted, degenerate = _weighted(forecasts, vcs)
-    rewards = losses = repeat(None)
-    winner = regret = None
-    if expert is not None:
-        rewards, losses, winner, regret = _score(
-            objects, forecasts, radii, weighted, expert, config, trial_index
-        )
-    agents = tuple(map(AgentForecast, objects, sizes, vcs, radii, forecasts, rewards, losses))
-    return TrialResult(
-        omega, agents, vc_star, expert, winner, weighted, regret, degenerate, trial_index
-    )
+    panel = _panel(objects, sizes, forecasts, ground_size(system), config, trial_index)
+    return _finish(panel, expert, config)
 
 
 def score_trial(
     trial: TrialResult, expert: float, config: PredictionConfig = PredictionConfig()
 ) -> TrialResult:
     """Rewards, losses, winner, weighted prediction and regret for a
-    hand-assembled panel; the weighted prediction always comes from the
-    panel's VCs, whatever value the panel carries."""
-    if not trial.forecasts:
+    hand-assembled panel of columns; the weighted prediction always comes
+    from the panel's VCs, whatever value the panel carries."""
+    if not trial.objects:
         raise DomainError("scoring needs a panel of at least one agent")
-    forecasts = [f.forecast for f in trial.forecasts]
-    weighted, degenerate = _weighted(forecasts, [f.vc for f in trial.forecasts])
-    rewards, losses, winner, regret = _score(
-        [f.object for f in trial.forecasts], forecasts, [f.radius for f in trial.forecasts],
-        weighted, expert, config, trial.trial_index,
-    )
-    scored = tuple(
-        replace(f, reward=w, loss=loss) for f, w, loss in zip(trial.forecasts, rewards, losses)
-    )
-    return replace(
-        trial, forecasts=scored, expert=expert, winner=winner, weighted=weighted,
-        regret=regret, weights_degenerate=degenerate,
-    )
-
-
-class LooTrial(NamedTuple):
-    """One leave-one-out trial in plain columns.
-
-    The agents are every object but the holdout, in object order. The
-    i-th entry of each column from objects to losses belongs to agent i,
-    as the fields of one scored AgentForecast would; mistakes counts the
-    agents left unrewarded.
-    """
-
-    holdout: ObjectId
-    expert: float
-    vc_star: int
-    objects: tuple[ObjectId, ...]
-    touching_sizes: list[int]
-    vcs: list[int]
-    radii: list[int]
-    forecasts: list[float]
-    rewards: list[int]
-    losses: list[float]
-    winner: Optional[tuple[ObjectId, float]]
-    weighted: float
-    weights_degenerate: bool
-    regret: float
-    mistakes: int
-
-
-class LooSession(NamedTuple):
-    """A leave-one-out pass: one trial per object, in object order, and the
-    per-object reward misses (every object, by id) and covered-trial count
-    that count_mistakes gives over the same trials."""
-
-    trials: list[LooTrial]
-    per_object_mistakes: dict[ObjectId, int]
-    covered_trials: int
+    return _finish(trial, expert, config)
 
 
 def leave_one_out(
     system: DecisionSystem, config: PredictionConfig = PredictionConfig()
-) -> LooSession:
+) -> list[TrialResult]:
     """Each object in turn as the new object, scored against its own
-    decision by the panel of all the others.
+    decision by the panel of all the others; trial i holds out
+    system.objects[i].
 
     Trial i equals run_trial(system.without_object(o), system.as_new_object(o),
-    system.decisions[o], config, i) for the i-th object o, and the ledger
-    equals count_mistakes over those trials, but no rest table, TrialResult
-    or AgentForecast is built: each rest table's ground size comes from
-    the full-feature classes once per session, and each trial is one pass
-    over the other rows.
+    system.decisions[o], config, i) for the i-th object o, but no rest table
+    is built: each rest table's ground size comes from the full-feature
+    classes once per session, and each trial is one pass over the other
+    rows.
     """
     objects = system.objects
     if len(objects) < 2:
         raise DomainError("leave-one-out needs at least two objects")
     rows = [system.rows[o] for o in objects]
     decisions = [system.decisions[o] for o in objects]
-    missed: Counter = Counter()
     trials = []
     for i, ground in enumerate(loo_ground_sizes(system)):
-        expert = decisions[i]
-        agents = objects[:i] + objects[i + 1:]
-        forecasts = decisions[:i] + decisions[i + 1:]
         sizes = _agreement_counts(rows[:i] + rows[i + 1:], rows[i])
-        vcs, radii, vc_star = _competence(sizes, ground, config)
-        weighted, degenerate = _weighted(forecasts, vcs)
-        rewards, losses, winner, regret = _score(
-            agents, forecasts, radii, weighted, expert, config, i
+        panel = _panel(
+            objects[:i] + objects[i + 1:], sizes, decisions[:i] + decisions[i + 1:], ground,
+            config, i,
         )
-        missed.update(compress(agents, map(not_, rewards)))
-        trials.append(LooTrial(
-            objects[i], expert, vc_star, agents, sizes, vcs, radii, forecasts, rewards, losses,
-            winner, weighted, degenerate, regret, rewards.count(0),
-        ))
-    covered = sum(t.mistakes < len(t.objects) for t in trials)
-    return LooSession(trials, {o: missed[o] for o in sorted(objects)}, covered)
+        trials.append(_finish(panel, decisions[i], config))
+    return trials
 
 
 def approx_predicted(trials: Sequence[TrialResult]) -> bool:
@@ -354,7 +286,6 @@ def approx_predicted(trials: Sequence[TrialResult]) -> bool:
     """
     if not trials:
         raise DomainError("approximate prediction needs at least one trial")
-    for trial in trials:
-        if not trial.scored:
-            raise DomainError("approximate prediction needs scored trials")
-    return all(sum(f.reward for f in t.forecasts) >= 1 for t in trials)
+    if any(trial.rewards is None for trial in trials):
+        raise DomainError("approximate prediction needs scored trials")
+    return all(any(trial.rewards) for trial in trials)

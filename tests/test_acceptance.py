@@ -31,7 +31,6 @@ from mereovc.lukasiewicz import (
 from mereovc.mereology import WeightedUniverse
 from mereovc.mistakes import localize, round_bound
 from mereovc.predict import (
-    AgentForecast,
     PredictionConfig,
     TrialResult,
     radius,
@@ -44,7 +43,6 @@ from mereovc.syllogistic import (
     evaluate_premiss,
     is_valid_mood,
 )
-from mereovc.tables import NewObject
 from mereovc.vc import (
     ComponentFamily,
     component_size_bound,
@@ -201,18 +199,13 @@ def test_vc_oracle_equivalence():
 @criterion(5, "protocol fixture")
 def test_protocol_fixture():
     config = PredictionConfig(delta=4)
-    omega = NewObject.from_mapping({"f": "x"})
-    forecasts = (
-        AgentForecast(object=0, touching_size=1, vc=2,
-                      radius=radius(2, 2, 4), forecast=4.0),
-        AgentForecast(object=1, touching_size=1, vc=1,
-                      radius=radius(1, 2, 4), forecast=7.0),
-    )
-    trial = score_trial(
-        TrialResult(omega=omega, forecasts=forecasts, vc_star=2), 5.0, config)
+    panel = TrialResult(objects=(0, 1), touching_sizes=[1, 1], vcs=[2, 1],
+                        radii=[radius(2, 2, 4), radius(1, 2, 4)],
+                        forecasts=[4.0, 7.0], vc_star=2)
+    trial = score_trial(panel, 5.0, config)
 
-    assert [f.radius for f in trial.forecasts] == [4, 2]
-    assert [f.reward for f in trial.forecasts] == [1, 1]
+    assert trial.radii == [4, 2]
+    assert trial.rewards == [1, 1]
     assert trial.winner == (0, 4.0)
     assert abs(trial.weighted - 5.0) < 1e-9
     assert abs(trial.regret - (-1.0)) < 1e-9
@@ -260,12 +253,10 @@ def test_mistake_bound():
 
 
 def _panel(rows, vc_star=1):
-    forecasts = tuple(
-        AgentForecast(object=i, touching_size=1, vc=1, radius=r, forecast=c)
-        for i, (c, r) in enumerate(rows)
-    )
-    omega = NewObject.from_mapping({"f": "x"})
-    return TrialResult(omega=omega, forecasts=forecasts, vc_star=vc_star)
+    """Agents 0, 1, ... with VC 1 and the (forecast, radius) of each row."""
+    forecasts, radii = map(list, zip(*rows))
+    ones = [1] * len(rows)
+    return TrialResult(tuple(range(len(rows))), ones, ones, radii, forecasts, vc_star)
 
 
 @criterion(7, "localization")
@@ -273,7 +264,7 @@ def test_localization():
     config = PredictionConfig(eta=0.5, radius_tolerance=1e-6)
     trial = _panel([(4.0, 2), (5.0, 2), (7.0, 2)])
     result = localize(None, trial, 5.4, config)
-    values = {trial.forecasts[i].forecast for i in result.localization}
+    values = {trial.forecasts[i] for i in result.localization}
     assert values == {5.0}
     low, high = result.interval
     assert low <= 5.4 <= high

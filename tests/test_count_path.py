@@ -93,12 +93,12 @@ def test_build_trial_matches_the_descriptor_set_route(epsilon, mode):
         for omega in omegas:
             want = old_route(system, omega, epsilon, mode)
             trial = run_trial(system, omega, config=config)
-            got = [(f.touching_size, f.vc) for f in trial.forecasts]
+            got = list(zip(trial.touching_sizes, trial.vcs))
             assert got == want, (system.features, system.rows, omega.as_mapping())
             # the public per-row function reads the same ground size
             got = [
-                (f.touching_size, vc_of_object(system, f.object, omega, epsilon, mode))
-                for f in trial.forecasts
+                (t, vc_of_object(system, o, omega, epsilon, mode))
+                for o, t in zip(trial.objects, trial.touching_sizes)
             ]
             assert got == want, (system.features, system.rows, omega.as_mapping())
 

@@ -2,10 +2,10 @@
 
 leave_one_out must give, trial by trial, what run_trial gives on the rest
 table system.without_object(o) with omega system.as_new_object(o) and
-expert system.decisions[o], and the ledger count_mistakes gives over those
-trials. Floats are compared by repr, so -0.0 against 0.0 or a last-digit
-difference fails. The evaluate-loo command must print, as JSON and as CSV,
-the bytes of the report built here from that old route.
+expert system.decisions[o]. Trials are also compared by repr, so -0.0
+against 0.0 or a last-digit difference fails. The evaluate-loo command
+must print, as JSON and as CSV, the bytes of the report built here from
+that old route.
 """
 
 import csv
@@ -14,6 +14,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import compress
 from statistics import fmean
 
 import pytest
@@ -97,26 +98,6 @@ def oracle(system, config):
     return trials, count_mistakes(trials)
 
 
-def columns(trial):
-    """A TrialResult in the field order of LooTrial."""
-    fs = trial.forecasts
-    return (
-        trial.expert,
-        trial.vc_star,
-        tuple(f.object for f in fs),
-        [f.touching_size for f in fs],
-        [f.vc for f in fs],
-        [f.radius for f in fs],
-        [f.forecast for f in fs],
-        [f.reward for f in fs],
-        [f.loss for f in fs],
-        trial.winner,
-        trial.weighted,
-        trial.weights_degenerate,
-        trial.regret,
-    )
-
-
 def test_tables_cover_every_case():
     systems = tables()
     grounds = [loo_ground_sizes(s) for s in systems]
@@ -147,15 +128,11 @@ def test_session_matches_run_trial_and_count_mistakes(epsilon, mode, tie):
         for system in tables():
             session = leave_one_out(system, config)
             trials, ledger = oracle(system, config)
-            assert len(session.trials) == len(trials)
-            for o, got, want, misses in zip(
-                system.objects, session.trials, trials, ledger.per_trial
-            ):
-                assert got.holdout == o
-                assert repr(got[1:-1]) == repr(columns(want))
-                assert got.mistakes == misses
-            assert repr(session.per_object_mistakes) == repr(ledger.per_object_mistakes)
-            assert session.covered_trials == sum(ledger.covered)
+            assert len(session) == len(trials)
+            for i, want in enumerate(trials):
+                assert session[i] == want
+                assert repr(session[i]) == repr(want)
+            assert count_mistakes(session) == ledger
 
 
 def test_the_tables_reach_ties_and_all_zero_weights():
@@ -167,7 +144,7 @@ def test_the_tables_reach_ties_and_all_zero_weights():
             for system in tables():
                 for trial in oracle(system, config)[0]:
                     degenerate |= trial.weights_degenerate
-                    rewarded = [f.loss for f in trial.forecasts if f.reward == 1]
+                    rewarded = list(compress(trial.losses, trial.rewards))
                     ties += rewarded.count(min(rewarded, default=None)) > 1
     assert degenerate
     assert ties
@@ -175,7 +152,7 @@ def test_the_tables_reach_ties_and_all_zero_weights():
 
 def test_weighted_mean_is_a_sum_of_products_not_a_running_total():
     config = PredictionConfig(epsilon=Fraction(1), mode="exact")
-    trial = leave_one_out(SUM_PANEL, config).trials[0]
+    trial = leave_one_out(SUM_PANEL, config)[0]
     assert trial.forecasts == [0.1, 0.2, 0.3]
     assert trial.vcs == [1, 1, 1]
     products = [0.1, 0.2, 0.3]
@@ -193,11 +170,10 @@ def test_session_builds_no_rest_table_trial_or_agent(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("built per trial")
 
-    monkeypatch.setattr(predict, "AgentForecast", forbidden)
-    monkeypatch.setattr(predict, "TrialResult", forbidden)
+    monkeypatch.setattr(predict, "run_trial", forbidden)
     monkeypatch.setattr(DecisionSystem, "__post_init__", forbidden)
     monkeypatch.setattr(DecisionSystem, "without_object", forbidden)
-    assert len(leave_one_out(system).trials) == len(system.objects)
+    assert len(leave_one_out(system)) == len(system.objects)
 
 
 def test_session_needs_two_objects():
@@ -233,15 +209,17 @@ def old_route_report(path, config, decision):
             "vc_star": t.vc_star,
             "per_object": [
                 {
-                    "id": f.object,
-                    "touching_size": f.touching_size,
-                    "vc": f.vc,
-                    "radius": f.radius,
-                    "forecast": f.forecast,
-                    "reward": f.reward,
-                    "loss": f.loss,
+                    "id": a,
+                    "touching_size": size,
+                    "vc": vc,
+                    "radius": r,
+                    "forecast": f,
+                    "reward": w,
+                    "loss": loss,
                 }
-                for f in t.forecasts
+                for a, size, vc, r, f, w, loss in zip(
+                    t.objects, t.touching_sizes, t.vcs, t.radii, t.forecasts, t.rewards, t.losses
+                )
             ],
             "winner": list(t.winner) if t.winner is not None else None,
             "weighted": t.weighted,

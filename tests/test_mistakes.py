@@ -6,18 +6,12 @@ import pytest
 from conftest import load_csv
 from mereovc.errors import DomainError
 from mereovc.mistakes import count_mistakes, localize, round_bound
-from mereovc.predict import AgentForecast, PredictionConfig, TrialResult, score_trial
-from mereovc.tables import NewObject
+from mereovc.predict import PredictionConfig, TrialResult, score_trial
 
 
 def panel(*rows, expert=None, **kwargs):
-    forecasts = tuple(
-        AgentForecast(object=o, touching_size=vc, vc=vc, radius=r, forecast=f)
-        for o, vc, r, f in rows
-    )
-    star = max((f.vc for f in forecasts), default=0)
-    omega = NewObject.from_mapping({"f": "x"})
-    trial = TrialResult(omega=omega, forecasts=forecasts, vc_star=star, **kwargs)
+    objects, vcs, radii, forecasts = map(list, zip(*rows)) if rows else ([], [], [], [])
+    trial = TrialResult(tuple(objects), vcs, vcs, radii, forecasts, max(vcs, default=0), **kwargs)
     return trial if expert is None else score_trial(trial, expert)
 
 
@@ -122,7 +116,7 @@ class TestLocalize:
             trial = panel(*rows)
             history, _, _ = localize(None, trial, rng.uniform(0, 10), cfg)
             assert [s.round for s in history] == list(range(len(history)))
-            top = max(f.radius for f in trial.forecasts)
+            top = max(trial.radii)
             bound = round_bound(top, eta, cfg.radius_tolerance)
             assert len(history) <= bound + 1
 

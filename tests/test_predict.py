@@ -1,13 +1,12 @@
-import dataclasses
 import random
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 
 from conftest import load_csv
 from mereovc.errors import DomainError
 from mereovc.predict import (
-    AgentForecast,
     PredictionConfig,
     TrialResult,
     approx_predicted,
@@ -20,15 +19,11 @@ from mereovc.predict import (
 from mereovc.tables import DecisionSystem, NewObject, is_consistent
 
 
-def panel(*rows, vc_star=None, expert=None, **kwargs):
+def panel(*rows, vc_star=None, **kwargs):
     """Build a TrialResult from (object, vc, radius, forecast) tuples."""
-    forecasts = tuple(
-        AgentForecast(object=o, touching_size=vc, vc=vc, radius=r, forecast=f)
-        for o, vc, r, f in rows
-    )
-    star = vc_star if vc_star is not None else max((f.vc for f in forecasts), default=0)
-    omega = NewObject.from_mapping({"f": "x"})
-    return TrialResult(omega=omega, forecasts=forecasts, vc_star=star, **kwargs)
+    objects, vcs, radii, forecasts = map(list, zip(*rows)) if rows else ([], [], [], [])
+    star = vc_star if vc_star is not None else max(vcs, default=0)
+    return TrialResult(tuple(objects), vcs, vcs, radii, forecasts, star, **kwargs)
 
 
 class TestRadius:
@@ -55,8 +50,8 @@ class TestForecastAndReward:
         cfg = PredictionConfig(delta=5)
         near = run_trial(s, NewObject.from_mapping({"f": "x"}), config=cfg)
         far = run_trial(s, NewObject.from_mapping({"f": "y"}), config=cfg)
-        assert [(f.radius, f.forecast) for f in near.forecasts] == [(5, 4.0)]
-        assert [(f.radius, f.forecast) for f in far.forecasts] == [(0, 4.0)]
+        assert list(zip(near.radii, near.forecasts)) == [(5, 4.0)]
+        assert list(zip(far.radii, far.forecasts)) == [(0, 4.0)]
 
     def test_reward_is_a_closed_ball(self):
         assert reward(4.0, 1, 5.0) == 1
@@ -86,8 +81,8 @@ class TestScoring:
         cfg = PredictionConfig(delta=4)
         trial = panel((1, 2, radius(2, 2, 4), 4.0), (2, 1, radius(1, 2, 4), 7.0))
         scored = score_trial(trial, 5.0, cfg)
-        assert [f.radius for f in scored.forecasts] == [4, 2]
-        assert [f.reward for f in scored.forecasts] == [1, 1]
+        assert scored.radii == [4, 2]
+        assert scored.rewards == [1, 1]
         assert scored.winner == (1, 4.0)
         assert scored.weighted == pytest.approx(5.0)
         assert scored.regret == pytest.approx(-1.0)
@@ -96,7 +91,7 @@ class TestScoring:
         trial = panel((1, 1, 0, 4.0), (2, 1, 0, 7.0))
         scored = score_trial(trial, 100.0)
         assert scored.winner is None
-        assert all(f.reward == 0 for f in scored.forecasts)
+        assert all(w == 0 for w in scored.rewards)
         assert max_rewarded_loss(scored) is None
 
     def test_empty_panel_is_a_domain_error(self):
@@ -136,8 +131,8 @@ class TestScoring:
         scaled = panel((1, 3, radius(3, 6, 5), 4.0), (2, 6, radius(6, 6, 5), 6.5))
         a = score_trial(base, 5.0, cfg)
         b = score_trial(scaled, 5.0, cfg)
-        assert [f.radius for f in a.forecasts] == [f.radius for f in b.forecasts]
-        assert [f.reward for f in a.forecasts] == [f.reward for f in b.forecasts]
+        assert a.radii == b.radii
+        assert a.rewards == b.rewards
         assert a.winner == b.winner
 
 
@@ -162,7 +157,7 @@ class TestWeightedPrediction:
             ]
             trial = score_trial(panel(*rows), 0.0)
             assert trial.weights_degenerate == all(vc == 0 for _, vc, _, _ in rows)
-            values = [f.forecast for f in trial.forecasts]
+            values = trial.forecasts
             assert min(values) - 1e-9 <= trial.weighted <= max(values) + 1e-9
 
     def test_regret_single_object_is_zero(self):
@@ -175,18 +170,18 @@ class TestRunTrial:
         omega = NewObject.from_mapping({"color": "red", "shape": "round", "size": "small"})
         cfg = PredictionConfig(epsilon=Fraction(1), delta=3)
         trial = run_trial(toy_system, omega, expert=5.0, config=cfg)
-        assert [f.touching_size for f in trial.forecasts] == [3, 2, 1]
-        assert [f.vc for f in trial.forecasts] == [3, 2, 1]
-        assert [f.radius for f in trial.forecasts] == [3, 2, 1]
+        assert trial.touching_sizes == [3, 2, 1]
+        assert trial.vcs == [3, 2, 1]
+        assert trial.radii == [3, 2, 1]
         # every agent forecasts its own decision value, whatever its radius
-        assert [f.forecast for f in trial.forecasts] == [4.0, 5.0, 7.0]
+        assert trial.forecasts == [4.0, 5.0, 7.0]
         assert trial.winner == (1, 5.0)
 
     def test_omega_equal_to_a_row_gets_radius_delta(self, toy_system):
         omega = toy_system.as_new_object(0)
         cfg = PredictionConfig(epsilon=Fraction(1), delta=5)
         trial = run_trial(toy_system, omega, config=cfg)
-        assert trial.forecasts[0].radius == 5
+        assert trial.radii[0] == 5
 
     def test_empty_system(self, toy_system):
         empty = toy_system.without_object(0).without_object(1).without_object(2)
@@ -204,15 +199,14 @@ class TestRunTrial:
         # the repair adds one ground descriptor per row that omega never
         # touches: at epsilon 0 the exact-mode VC is ground minus touching,
         # so ground F+1 = 3 gives 1, 1, 3 where ground F = 2 would give 0, 0, 2
-        assert [f.touching_size for f in trial.forecasts] == [2, 2, 0]
-        assert [f.vc for f in trial.forecasts] == [1, 1, 3]
-        assert trial.omega is omega
+        assert trial.touching_sizes == [2, 2, 0]
+        assert trial.vcs == [1, 1, 3]
 
     def test_unscored_without_expert(self, toy_system):
         omega = toy_system.as_new_object(2)
         trial = run_trial(toy_system, omega)
         assert trial.expert is None
-        assert not trial.scored
+        assert trial.rewards is None
         assert trial.weighted is not None
 
     def test_degenerate_weights_fall_back_to_mean(self):
@@ -272,7 +266,7 @@ def test_entry_point_cases_cover_every_kind():
     }
     kinds = [is_consistent(system) for _, system, *_ in ENTRY_POINT_CASES]
     assert any(kinds) and not all(kinds)
-    rewarded = [f.loss for f in trials["tied"].forecasts if f.reward == 1]
+    rewarded = list(compress(trials["tied"].losses, trials["tied"].rewards))
     assert rewarded == [1.0, 1.0]
     assert trials["all_vc_0"].weights_degenerate
 
@@ -287,6 +281,8 @@ def test_run_trial_equals_scoring_its_unscored_trial(name, system, omega, expert
     for index in range(3):
         direct = run_trial(system, omega, expert, cfg, trial_index=index)
         later = score_trial(run_trial(system, omega, config=cfg, trial_index=index), expert, cfg)
-        assert direct.scored
-        for field in dataclasses.fields(TrialResult):
-            assert getattr(direct, field.name) == getattr(later, field.name), field.name
+        assert direct.rewards is not None
+        for field in TrialResult._fields:
+            assert getattr(direct, field) == getattr(later, field), field
+        top = max_rewarded_loss(direct)
+        assert top is None or top <= cfg.delta
