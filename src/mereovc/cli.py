@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from statistics import fmean
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .errors import DomainError, InputError, UsageError
 from .laws import MAX_REPORTED_FAILURES, full_selftest
@@ -33,7 +33,6 @@ from .predict import (
 )
 from .syllogistic import (
     enumerate_moods,
-    find_model,
     is_valid_mood,
     lookup_mood,
     parse_mood,
@@ -220,27 +219,26 @@ def _is_flat(members) -> bool:
     return not any(map(isinstance, members, repeat(_CONTAINERS)))
 
 
-def _is_record_list(members) -> bool:
-    """True when every member is a non-empty dict of scalars."""
-    return (
-        all(map(isinstance, members, repeat(dict)))
-        and all(members)
-        and _is_flat(chain.from_iterable(map(dict.values, members)))
-    )
+class Columns(NamedTuple):
+    """Records held as columns: record i maps keys[j] to columns[j][i].
+
+    Each column holds only ints or only floats, so the report writer can
+    fill every record of the list from one template.
+    """
+
+    keys: tuple[str, ...]
+    columns: tuple[Sequence, ...]
 
 
 def _dumps(report) -> str:
     """The report as strict JSON; a non-finite number is a domain error.
 
     The text is byte for byte json.dumps(report, indent=2, allow_nan=False),
-    but the stdlib writes indented JSON with its pure-Python encoder. Here
-    every scalar, every container of scalars and every list of non-empty
-    flat dicts goes to the C encoder in one call, with the newline and
-    indent of its depth as the member separator; only containers that hold
-    containers are laid out in Python. The C encoder writes a raw newline
-    only in a separator, never in a string, and a dict member's separator
-    is always followed by the next key's quote, so in a list of records
-    the text "},\\n" + indent + "{" occurs only between two records.
+    with a Columns value written as its list of records. Each container of
+    scalars is one call of the C encoder, with the newline and indent of
+    its depth as the member separator; each Columns is one %-format of a
+    record template, since json writes an int or a finite float as its
+    repr. Only containers that hold containers are laid out in Python.
     """
     encoders = {}
 
@@ -258,7 +256,34 @@ def _dumps(report) -> str:
         # json writes a non-string key as a string; let the C encoder say how
         return encode({name: None}, pad)[1:-len(": null}")]
 
+    def records(table: Columns, pad: str) -> str:
+        rows = len(table.columns[0])
+        if not rows:
+            return "[]"
+        for name, column in zip(table.keys, table.columns):
+            kinds = set(map(type, column))
+            if kinds == {float}:
+                if not all(map(math.isfinite, column)):
+                    raise ValueError(name)  # as the C encoder does for nan/inf
+            elif kinds != {int}:
+                # a bool or an int subclass has another repr than json's
+                raise TypeError(
+                    f"report column {name!r} holds {sorted(k.__name__ for k in kinds)}, "
+                    "not only int or only float"
+                )
+        inner = pad + "  "
+        deep = inner + "  "
+        fields = (",\n" + deep).join(
+            f"{key(k, deep).replace('%', '%%')}: %r" for k in table.keys
+        )
+        record = f"{{\n{deep}{fields}\n{inner}}}"
+        body = (",\n" + inner).join(repeat(record, rows))
+        cells = tuple(chain.from_iterable(zip(*table.columns)))
+        return f"[\n{inner}{body % cells}\n{pad}]"
+
     def write(obj, pad: str) -> str:
+        if isinstance(obj, Columns):
+            return records(obj, pad)
         if not isinstance(obj, _CONTAINERS) or not obj:
             return encode(obj, pad)
         inner = pad + "  "
@@ -269,12 +294,6 @@ def _dumps(report) -> str:
             body = (",\n" + inner).join(
                 f"{key(k, inner)}: {write(v, inner)}" for k, v in obj.items()
             )
-        elif _is_record_list(obj):
-            deep = inner + "  "
-            records = encode(obj, deep)[2:-2].replace(
-                "},\n" + deep + "{", f"\n{inner}}},\n{inner}{{\n{deep}"
-            )
-            body = f"{{\n{deep}{records}\n{inner}}}"
         else:
             body = (",\n" + inner).join(write(m, inner) for m in obj)
         opening, closing = "{}" if is_dict else "[]"
@@ -303,31 +322,27 @@ def _finite_cell(cell) -> bool:
     return not isinstance(cell, float) or math.isfinite(cell)
 
 
+_AGENT_KEYS = ("id", "touching_size", "vc", "radius", "forecast")
+
+
 def _trial_fields(trial: TrialResult) -> dict:
     """A trial's report entries from the expert value to the regret, with
-    one record per agent; an unscored trial has no expert, reward, loss,
-    winner or regret."""
+    the agent records as columns; an unscored trial has no expert, reward,
+    loss, winner or regret."""
     columns = (trial.objects, trial.touching_sizes, trial.vcs, trial.radii, trial.forecasts)
     if trial.rewards is None:
         return {
             "vc_star": trial.vc_star,
-            "per_object": [
-                {"id": o, "touching_size": t, "vc": vc, "radius": r, "forecast": f}
-                for o, t, vc, r, f in zip(*columns)
-            ],
+            "per_object": Columns(_AGENT_KEYS, columns),
             "weighted": trial.weighted,
             "weights_degenerate": trial.weights_degenerate,
         }
     return {
         "expert": trial.expert,
         "vc_star": trial.vc_star,
-        # a dict display per record: there is one per (trial, agent), so a
-        # call per record would be a measurable share of evaluate-loo
-        "per_object": [
-            {"id": o, "touching_size": t, "vc": vc, "radius": r, "forecast": f,
-             "reward": w, "loss": loss}
-            for o, t, vc, r, f, w, loss in zip(*columns, trial.rewards, trial.losses)
-        ],
+        "per_object": Columns(
+            (*_AGENT_KEYS, "reward", "loss"), (*columns, trial.rewards, trial.losses)
+        ),
         "winner": list(trial.winner) if trial.winner is not None else None,
         "weighted": trial.weighted,
         "weights_degenerate": trial.weights_degenerate,
@@ -346,7 +361,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     report["seed"] = config.rng_seed
     if args.output == "csv":
         records = report["per_object"]
-        print(_csv_text(list(records[0]), map(dict.values, records)), end="")
+        print(_csv_text(records.keys, zip(*records.columns)), end="")
     else:
         print(_dumps(report))
     return 0

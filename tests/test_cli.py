@@ -277,6 +277,48 @@ class TestEvaluateLoo:
         assert "outside the float range" in err
 
 
+# decisions whose json text differs from a naive float format: a signed
+# zero, an exponent form, the smallest subnormal, a short repr, an integer
+EDGE_DECISIONS = "a,b,dec\nx,y,-0\nx,z,1e16\np,y,5e-324\np,z,0.1\nq,y,-7\n"
+
+
+class TestReportRoundTrip:
+    """Every report is exactly what json.dumps(indent=2) writes for its
+    own parse, so the agent columns' %r text is json's number text."""
+
+    @pytest.fixture
+    def edge_table(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text(EDGE_DECISIONS, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--omega", "a=x,b=y", "--delta", "3"],
+        ["predict", "--omega", "a=x,b=y", "--delta", "3", "--expert", "0.1"],
+        ["predict", "--omega", "a=q,b=z", "--epsilon", "1/2", "--expert", "-0"],
+        ["evaluate-loo", "--delta", "3"],
+        ["evaluate-loo", "--epsilon", "1/2", "--tie", "lowest"],
+    ])
+    def test_report_is_its_own_json_dumps(self, capsys, edge_table, argv):
+        code, out, err = run(capsys, argv[0], edge_table, *argv[1:])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(strict_json(out), indent=2) + "\n"
+
+    def test_trial_columns_hold_the_types_the_writer_needs(self, edge_table):
+        with open(edge_table, encoding="utf-8") as handle:
+            system = mereovc.load_decision_system(handle)
+        config = mereovc.PredictionConfig(delta=3)
+        omega = mereovc.NewObject.from_mapping({"a": "x", "b": "y"})
+        trials = [mereovc.run_trial(system, omega, expert=0.1, config=config),
+                  *mereovc.leave_one_out(system, config)]
+        for trial in trials:
+            for column in (trial.objects, trial.touching_sizes, trial.vcs,
+                           trial.radii, trial.rewards):
+                assert set(map(type, column)) == {int}
+            for column in (trial.forecasts, trial.losses):
+                assert set(map(type, column)) == {float}
+
+
 class TestMoods:
     def test_list_has_24_valid_rows(self, capsys):
         code, out, _ = run(capsys, "moods", "list")

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mereovc.cli import _dumps
+from mereovc.cli import Columns, _dumps
 from mereovc.errors import DomainError
 
 
@@ -74,3 +74,79 @@ def test_edge_shapes_match(obj):
 def test_non_finite_number_is_a_domain_error(obj):
     with pytest.raises(DomainError, match="not valid JSON"):
         _dumps(obj)
+
+
+# cells json and %r could write differently: signed zero, the smallest
+# subnormal, exponent forms, the largest float and an int past 2**53
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e22, 1.7976931348623157e308, 0.1, -7.0]
+EDGE_INTS = [0, -1, 2**53 + 1, -(2**63)]
+column_keys = st.lists(
+    st.one_of(strings, st.sampled_from(["%", "%r", "%%", "%(x)s", "id"])),
+    min_size=1, max_size=4, unique=True,
+)
+
+
+@st.composite
+def column_records(draw):
+    keys = draw(column_keys)
+    rows = draw(st.integers(0, 4))
+    cells = {
+        int: st.one_of(st.integers(), st.sampled_from(EDGE_INTS)),
+        float: st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from(EDGE_FLOATS)),
+    }
+    columns = tuple(
+        draw(st.lists(cells[draw(st.sampled_from([int, float]))], min_size=rows, max_size=rows))
+        for _ in keys
+    )
+    return Columns(tuple(keys), columns)
+
+
+def as_dicts(table: Columns) -> list:
+    return [dict(zip(table.keys, row)) for row in zip(*table.columns)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_records())
+def test_columns_match_json_dumps_of_their_records(table):
+    rows = as_dicts(table)
+    assert _dumps(table) == reference(rows)
+    assert _dumps({"vc_star": 1, "per_object": table}) == reference(
+        {"vc_star": 1, "per_object": rows})
+    assert _dumps([{"trial": 0, "per_object": table}, {"trial": 1}]) == reference(
+        [{"trial": 0, "per_object": rows}, {"trial": 1}])
+
+
+@pytest.mark.parametrize("cell", EDGE_FLOATS + EDGE_INTS)
+def test_edge_cell_matches(cell):
+    table = Columns(("id", "x"), ((0, 1), (cell, cell)))
+    assert _dumps({"per_object": table}) == reference({"per_object": as_dicts(table)})
+
+
+def test_zero_rows_are_an_empty_list():
+    table = Columns(("id", "loss"), ((), ()))
+    assert _dumps(table) == "[]"
+    assert _dumps({"per_object": table}) == reference({"per_object": []})
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_non_finite_cell_in_any_float_column_is_a_domain_error(bad, position):
+    columns = [[0.5, 1.5], [2.5, 3.5], [4.5, 5.5]]
+    columns[position][1] = bad
+    table = Columns(("forecast", "loss", "weight"), tuple(columns))
+    with pytest.raises(DomainError, match="not valid JSON"):
+        _dumps({"per_object": table})
+
+
+@pytest.mark.parametrize("bad", [True, False, "1", None])
+def test_cell_that_is_not_an_int_or_a_float_is_refused(bad):
+    for column in ([bad, 1], [1, bad], [bad, 1.0]):
+        table = Columns(("id", "reward"), ((0, 1), tuple(column)))
+        with pytest.raises(TypeError, match="reward"):
+            _dumps({"per_object": table})
+
+
+def test_column_mixing_ints_and_floats_is_refused():
+    with pytest.raises(TypeError, match="loss"):
+        _dumps(Columns(("loss",), ((1, 1.5),)))
