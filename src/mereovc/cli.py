@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import chain, repeat
@@ -41,17 +42,20 @@ from .tables import DecisionSystem, NewObject, load_decision_system, read_record
 
 
 def parse_rational(text: str) -> Fraction:
-    """A rational literal: "p/q" or a plain integer. Floats are rejected."""
+    """A rational literal: "p/q" or a plain integer, optionally signed, in
+    ASCII digits. Decimals, exponents, underscores and inner spaces are
+    rejected on every Python version."""
     stripped = text.strip()
     if "." in stripped:
         raise UsageError(
             f"epsilon must be a rational literal like 1/2, not a float: {text!r}"
         )
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", stripped):
+        raise UsageError(f"cannot parse {text!r} as a rational p/q")
     try:
-        value = Fraction(stripped)
-    except (ValueError, ZeroDivisionError):
+        return Fraction(stripped)
+    except ZeroDivisionError:
         raise UsageError(f"cannot parse {text!r} as a rational p/q") from None
-    return value
 
 
 def _finite_float(text: str) -> float:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
+from . import lukasiewicz
 from .errors import UsageError
 from .mereology import (
     Term,
@@ -51,21 +52,16 @@ class LawReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, passed: bool, context: str) -> None:
-        self.cases += 1
-        if not passed and len(self.failures) < MAX_REPORTED_FAILURES:
-            self.failures.append(context)
-
 
 @dataclass(frozen=True)
 class LawCase:
-    """One universe with the term tuples the laws will range over."""
+    """The argument tuples the laws range over, by arity: single terms,
+    pairs and triples of terms, and single collections of terms."""
 
-    universe: WeightedUniverse
-    terms: tuple[Term, ...]
+    terms: tuple[tuple[Term], ...]
     pairs: tuple[tuple[Term, Term], ...]
     triples: tuple[tuple[Term, Term, Term], ...]
-    collections: tuple[tuple[Term, ...], ...]
+    collections: tuple[tuple[tuple[Term, ...]], ...]
 
 
 def _implies(p: bool, q: bool) -> bool:
@@ -135,14 +131,6 @@ def _m13_residuum_form(x, y):
     )
 
 
-WEIGHT_PAIR_LAWS: Sequence[tuple[str, Callable]] = (
-    ("m1", _m1), ("m2", _m2), ("m3", _m3), ("m4", _m4), ("m5", _m5),
-    ("m7", _m7), ("m8", _m8), ("m9", _m9), ("m10", _m10), ("m11", _m11),
-    ("m12", _m12), ("m13", _m13), ("m14", _m14),
-    ("m13 residuum form", _m13_residuum_form),
-)
-
-
 # Part and component theorems plus symmetry facts.
 
 def _part_irreflexive(x):
@@ -183,52 +171,13 @@ def _degree_monotone_under_full_part(x, y, z):
     )
 
 
-UNARY_THEOREMS: Sequence[tuple[str, Callable]] = (
-    ("part irreflexive", _part_irreflexive),
-    ("component reflexive", _component_reflexive),
-    ("m6", _m6),
-)
-
-PAIR_THEOREMS: Sequence[tuple[str, Callable]] = (
-    ("part asymmetric", _part_asymmetric),
-    ("component antisymmetric", _component_antisymmetric),
-    ("overlap symmetric", _overlap_symmetric),
-    ("exterior symmetric", _exterior_symmetric),
-    ("degree one iff component", _degree_one_iff_component),
-)
-
-TRIPLE_THEOREMS: Sequence[tuple[str, Callable]] = (
-    ("part transitive", _part_transitive),
-    ("component transitive", _component_transitive),
-    ("relative exterior symmetric", _relative_exterior_symmetric),
-    ("degree monotone under full part", _degree_monotone_under_full_part),
-)
-
-
-# Implication tautologies. Every formula must denote the whole universe.
-
-def _law_terms(x, y, z):
-    imp = implication
-    prod = alg_product
-    return (
-        imp(imp(x, y), imp(imp(y, z), imp(x, z))),
-        imp(prod(x, y), x),
-        imp(prod(x, y), prod(y, x)),
-        imp(prod(x, imp(x, y)), prod(y, imp(y, x))),
-        imp(imp(x, imp(y, z)), imp(prod(x, y), z)),
-        imp(imp(prod(x, y), z), imp(x, imp(y, z))),
-        imp(imp(imp(x, y), z), imp(imp(imp(y, x), z), z)),
-    )
-
-
-IMPLICATION_LAW_NAMES = tuple(f"implication law {i}" for i in range(1, 8))
-
-
 def _component_axiom(a, b):
     # If every non-empty component of a overlaps b then a is a component
     # of b. Overlapping b is the same as overlapping some component of b.
-    for m in nonempty_subsets(a):
-        if exterior(m, b):
+    # A component exterior to b holds an atom exterior to b, so trying the
+    # single-atom components of a is enough.
+    for atom in a.members:
+        if exterior(Term(a.universe, frozenset([atom])), b):
             return True
     return component(a, b)
 
@@ -261,42 +210,79 @@ def _class_requirement_2(collection):
     return True
 
 
+# Every law in print order: (report name, the LawCase field it ranges
+# over, check). Implication laws are tautologies: each formula must denote
+# the whole universe.
+LAWS: Sequence[tuple[str, str, Callable[..., bool]]] = (
+    ("part irreflexive", "terms", _part_irreflexive),
+    ("component reflexive", "terms", _component_reflexive),
+    ("m6", "terms", _m6),
+    ("m1", "pairs", _m1), ("m2", "pairs", _m2), ("m3", "pairs", _m3),
+    ("m4", "pairs", _m4), ("m5", "pairs", _m5), ("m7", "pairs", _m7),
+    ("m8", "pairs", _m8), ("m9", "pairs", _m9), ("m10", "pairs", _m10),
+    ("m11", "pairs", _m11), ("m12", "pairs", _m12), ("m13", "pairs", _m13),
+    ("m14", "pairs", _m14), ("m13 residuum form", "pairs", _m13_residuum_form),
+    ("part asymmetric", "pairs", _part_asymmetric),
+    ("component antisymmetric", "pairs", _component_antisymmetric),
+    ("overlap symmetric", "pairs", _overlap_symmetric),
+    ("exterior symmetric", "pairs", _exterior_symmetric),
+    ("degree one iff component", "pairs", _degree_one_iff_component),
+    ("component axiom", "pairs", _component_axiom),
+    ("part transitive", "triples", _part_transitive),
+    ("component transitive", "triples", _component_transitive),
+    ("relative exterior symmetric", "triples", _relative_exterior_symmetric),
+    ("degree monotone under full part", "triples", _degree_monotone_under_full_part),
+    ("implication law 1", "triples", lambda x, y, z: is_valid(
+        implication(implication(x, y), implication(implication(y, z), implication(x, z))))),
+    ("implication law 2", "triples", lambda x, y, z: is_valid(
+        implication(alg_product(x, y), x))),
+    ("implication law 3", "triples", lambda x, y, z: is_valid(
+        implication(alg_product(x, y), alg_product(y, x)))),
+    ("implication law 4", "triples", lambda x, y, z: is_valid(implication(
+        alg_product(x, implication(x, y)), alg_product(y, implication(y, x))))),
+    ("implication law 5", "triples", lambda x, y, z: is_valid(
+        implication(implication(x, implication(y, z)), implication(alg_product(x, y), z)))),
+    ("implication law 6", "triples", lambda x, y, z: is_valid(
+        implication(implication(alg_product(x, y), z), implication(x, implication(y, z))))),
+    ("implication law 7", "triples", lambda x, y, z: is_valid(implication(
+        implication(implication(x, y), z),
+        implication(implication(implication(y, x), z), z)))),
+    ("class requirement 1", "collections", _class_requirement_1),
+    ("class requirement 2", "collections", _class_requirement_2),
+)
+
+
+def _counterexample(field_name: str, args: tuple) -> str:
+    if field_name == "collections":
+        return f"B={[repr(t) for t in args[0]]}"
+    return " ".join(f"{name}={arg!r}" for name, arg in zip("xyz", args))
+
+
+def _run_table(
+    table: Sequence[tuple[str, str, Callable[..., bool]]],
+    cases: Iterable,
+    describe: Callable[[str, tuple], str],
+) -> list[LawReport]:
+    """One report per row of table, in table order.
+
+    A row is (name, field, check): check is called with each argument tuple
+    in that field of every case. describe(field, args) writes out a failing
+    tuple, and only while the report has room for another counterexample.
+    """
+    reports = [LawReport(name) for name, _, _ in table]
+    for case in cases:
+        for report, (_, field_name, check) in zip(reports, table):
+            arguments = getattr(case, field_name)
+            report.cases += len(arguments)
+            for args in arguments:
+                if not check(*args) and len(report.failures) < MAX_REPORTED_FAILURES:
+                    report.failures.append(describe(field_name, args))
+    return reports
+
+
 def run_law_suite(cases: Iterable[LawCase]) -> list[LawReport]:
     """Accumulate every law over every case, one report per law."""
-    names = (
-        [n for n, _ in UNARY_THEOREMS]
-        + [n for n, _ in WEIGHT_PAIR_LAWS]
-        + [n for n, _ in PAIR_THEOREMS]
-        + ["component axiom"]
-        + [n for n, _ in TRIPLE_THEOREMS]
-        + list(IMPLICATION_LAW_NAMES)
-        + ["class requirement 1", "class requirement 2"]
-    )
-    reports = {name: LawReport(name) for name in names}
-
-    for case in cases:
-        for x in case.terms:
-            ctx = f"x={x!r}"
-            for name, law in UNARY_THEOREMS:
-                reports[name].check(law(x), ctx)
-        for x, y in case.pairs:
-            ctx = f"x={x!r} y={y!r}"
-            for name, law in WEIGHT_PAIR_LAWS:
-                reports[name].check(law(x, y), ctx)
-            for name, law in PAIR_THEOREMS:
-                reports[name].check(law(x, y), ctx)
-            reports["component axiom"].check(_component_axiom(x, y), ctx)
-        for x, y, z in case.triples:
-            ctx = f"x={x!r} y={y!r} z={z!r}"
-            for name, law in TRIPLE_THEOREMS:
-                reports[name].check(law(x, y, z), ctx)
-            for name, term in zip(IMPLICATION_LAW_NAMES, _law_terms(x, y, z)):
-                reports[name].check(is_valid(term), ctx)
-        for collection in case.collections:
-            ctx = f"B={[repr(t) for t in collection]}"
-            reports["class requirement 1"].check(_class_requirement_1(collection), ctx)
-            reports["class requirement 2"].check(_class_requirement_2(collection), ctx)
-    return [reports[name] for name in names]
+    return _run_table(LAWS, cases, _counterexample)
 
 
 def exhaustive_case(universe: WeightedUniverse) -> LawCase:
@@ -306,12 +292,12 @@ def exhaustive_case(universe: WeightedUniverse) -> LawCase:
     Intended for universes of at most five atoms.
     """
     terms = tuple(universe.all_terms())
-    pairs = tuple((x, y) for x in terms for y in terms)
-    triples = tuple((x, y, z) for x in terms for y in terms for z in terms)
-    collections = tuple((t,) for t in terms) + tuple(
-        (x, y) for x, y in combinations(terms, 2)
+    return LawCase(
+        tuple((x,) for x in terms),
+        tuple((x, y) for x in terms for y in terms),
+        tuple((x, y, z) for x in terms for y in terms for z in terms),
+        tuple(((t,),) for t in terms) + tuple(((x, y),) for x, y in combinations(terms, 2)),
     )
-    return LawCase(universe, terms, pairs, triples, collections)
 
 
 def sampled_case(universe: WeightedUniverse, rng: random.Random) -> LawCase:
@@ -323,14 +309,15 @@ def sampled_case(universe: WeightedUniverse, rng: random.Random) -> LawCase:
         size = rng.randint(1, len(atoms))
         return universe.term(rng.sample(atoms, size))
 
-    terms = tuple(pick() for _ in range(4))
-    pair_tuples = tuple((pick(), pick()) for _ in range(4))
-    triple_tuples = tuple((pick(), pick(), pick()) for _ in range(4))
-    coll_tuples = tuple(tuple(pick() for _ in range(rng.randint(1, 3))) for _ in range(2))
-    return LawCase(universe, terms, pair_tuples, triple_tuples, coll_tuples)
+    return LawCase(
+        tuple((pick(),) for _ in range(4)),
+        tuple((pick(), pick()) for _ in range(4)),
+        tuple((pick(), pick(), pick()) for _ in range(4)),
+        tuple((tuple(pick() for _ in range(rng.randint(1, 3))),) for _ in range(2)),
+    )
 
 
-def random_universe(rng: random.Random, max_atoms: int = 10) -> WeightedUniverse:
+def random_universe(rng: random.Random, max_atoms: int) -> WeightedUniverse:
     """Random atom count in [2, max_atoms] with exact normalised weights."""
     n = rng.randint(2, max_atoms)
     masses = {i: rng.randint(1, 9) for i in range(n)}
@@ -338,15 +325,10 @@ def random_universe(rng: random.Random, max_atoms: int = 10) -> WeightedUniverse
 
 
 def full_selftest(
-    atoms: int = 4,
-    random_universes: int = 100,
-    max_atoms: int = 10,
-    seed: int = 0,
+    atoms: int, random_universes: int, max_atoms: int, seed: int
 ) -> list[LawReport]:
     """Algebra laws plus the t-norm suite on the 1/64 grid, as one flat
     report list. A count outside its range is a usage error."""
-    from .lukasiewicz import check_t_norm, formula_identities, t_norm
-
     if not 2 <= atoms <= 5:
         raise UsageError(f"atoms must lie in 2..5 for exhaustive checking, not {atoms}")
     if random_universes < 0:
@@ -359,12 +341,8 @@ def full_selftest(
         cases.append(sampled_case(random_universe(rng, max_atoms), rng))
     reports = run_law_suite(cases)
 
-    tnorm_report = LawReport("t-norm contract")
-    outcome = check_t_norm(t_norm)
-    tnorm_report.check(
-        outcome.ok,
-        "no violation" if outcome.ok else f"{outcome.violation.condition} at {outcome.violation.point}",
-    )
-    reports.append(tnorm_report)
-    reports.extend(formula_identities())
+    violation = lukasiewicz.check_t_norm(lukasiewicz.t_norm).violation
+    failures = [] if violation is None else [f"{violation.condition} at {violation.point}"]
+    reports.append(LawReport("t-norm contract", 1, failures))
+    reports.extend(lukasiewicz.formula_identities())
     return reports

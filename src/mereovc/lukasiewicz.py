@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable
 
 from .errors import DomainError, UsageError
@@ -152,58 +153,39 @@ def formula_identities(grid_step: Fraction = Fraction(1, 64)):
     boundary of the implication, and the propagation closed forms.
     Values within 1e-9 count as equal.
     """
-    from .laws import LawReport
+    from .laws import _run_table
 
-    pts = grid_points(grid_step)
     tolerance = 1e-9
-    reports = {
-        name: LawReport(name)
-        for name in (
-            "negation via implication to zero",
-            "weak conjunction from strong operators",
-            "weak disjunction from nested implications",
-            "strong disjunction by De Morgan",
-            "implication residuation boundary",
-            "propagation closed forms",
-        )
-    }
 
-    def close(a: Real, b: Real) -> bool:
-        return abs(a - b) <= tolerance
+    def closed_forms(p, q):
+        closed = {
+            Connective.SUM: weak_or(p, q),
+            Connective.STRONG_SUM: s_norm(p, q),
+            Connective.PRODUCT: weak_and(p, q),
+            Connective.STRONG_PRODUCT: t_norm(p, q),
+            Connective.IMPLICATION: t_norm(p, q),
+            Connective.NEGATION: negation(p),
+        }
+        return all(abs(propagate(p, q, c) - want) <= tolerance for c, want in closed.items())
 
-    for p in pts:
-        reports["negation via implication to zero"].check(
-            close(implication(p, 0.0), negation(p)), f"p={p}")
-    for p in pts:
-        for q in pts:
-            pq = f"p={p} q={q}"
-            reports["weak conjunction from strong operators"].check(
-                close(t_norm(p, implication(p, q)), weak_and(p, q)), pq)
-            reports["weak disjunction from nested implications"].check(
-                close(
-                    weak_and(
-                        implication(implication(p, q), q),
-                        implication(implication(q, p), p),
-                    ),
-                    weak_or(p, q),
-                ),
-                pq,
-            )
-            reports["strong disjunction by De Morgan"].check(
-                close(negation(t_norm(negation(p), negation(q))), s_norm(p, q)), pq)
-            reports["implication residuation boundary"].check(
-                (implication(p, q) >= 1.0 - tolerance) == (p <= q + tolerance), pq)
-            closed = {
-                Connective.SUM: weak_or(p, q),
-                Connective.STRONG_SUM: s_norm(p, q),
-                Connective.PRODUCT: weak_and(p, q),
-                Connective.STRONG_PRODUCT: t_norm(p, q),
-                Connective.IMPLICATION: t_norm(p, q),
-                Connective.NEGATION: negation(p),
-            }
-            reports["propagation closed forms"].check(
-                all(close(propagate(p, q, c), want) for c, want in closed.items()), pq)
-    return list(reports.values())
+    identities = (
+        ("negation via implication to zero", "points",
+         lambda p: abs(implication(p, 0.0) - negation(p)) <= tolerance),
+        ("weak conjunction from strong operators", "pairs",
+         lambda p, q: abs(t_norm(p, implication(p, q)) - weak_and(p, q)) <= tolerance),
+        ("weak disjunction from nested implications", "pairs", lambda p, q: abs(
+            weak_and(implication(implication(p, q), q), implication(implication(q, p), p))
+            - weak_or(p, q)) <= tolerance),
+        ("strong disjunction by De Morgan", "pairs", lambda p, q: abs(
+            negation(t_norm(negation(p), negation(q))) - s_norm(p, q)) <= tolerance),
+        ("implication residuation boundary", "pairs",
+         lambda p, q: (implication(p, q) >= 1.0 - tolerance) == (p <= q + tolerance)),
+        ("propagation closed forms", "pairs", closed_forms),
+    )
+    pts = grid_points(grid_step)
+    grid = SimpleNamespace(points=[(p,) for p in pts], pairs=[(p, q) for p in pts for q in pts])
+    return _run_table(identities, [grid], lambda _, args: " ".join(
+        f"{name}={value}" for name, value in zip("pq", args)))
 
 
 def degree_in_unit_interval(value) -> None:

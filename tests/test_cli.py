@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import mereovc
+from mereovc import laws, lukasiewicz
 from mereovc.cli import main, parse_rational
 from mereovc.errors import UsageError
+
+DATA = Path(__file__).resolve().parent / "data"
 
 TOY = (
     "color,shape,size,d\n"
@@ -54,6 +57,23 @@ class TestRationalFlag:
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(UsageError):
             parse_rational(bad)
+
+    @pytest.mark.parametrize("good, value", [
+        (" 1/2 ", Fraction(1, 2)), ("+3", Fraction(3)), ("-1/4", Fraction(-1, 4)),
+        ("02/4", Fraction(1, 2)),
+    ])
+    def test_accepts_signed_integer_ratios(self, good, value):
+        assert parse_rational(good) == value
+
+    @pytest.mark.parametrize("bad", [
+        "1e-1", "5E-1", "1_0/20", "1 /2", "1/ 2", "1/-2", "/2", "1/", "\u0661", "inf", "nan",
+    ])
+    def test_rejects_everything_but_signed_integer_ratios(self, capsys, table, bad):
+        code, out, err = run(
+            capsys, "predict", table,
+            "--omega", "color=red,shape=round,size=small", "--epsilon", bad)
+        assert (code, out) == (2, "")
+        assert "rational" in err
 
 
 class TestPredict:
@@ -376,6 +396,21 @@ class TestAlgebraSelftest:
         code, out, err = run(capsys, "algebra", "selftest", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+
+    def test_failure_report_is_pinned(self, capsys, monkeypatch):
+        # a weight that loses one atom and a negation shifted by 0.01: the
+        # FAIL lines, their first counterexamples and the summary are fixed
+        def weight_without_last_atom(x):
+            dropped = max(x.universe.atoms, key=repr)
+            return sum((x.universe.atom_weights[a] for a in x.members if a != dropped),
+                       Fraction(0))
+
+        monkeypatch.setattr(laws, "weight", weight_without_last_atom)
+        monkeypatch.setattr(lukasiewicz, "negation", lambda p: 1.0 - p + 0.01)
+        code, out, err = run(capsys, "algebra", "selftest", "--atoms", "3", "--random", "5")
+        expected = (DATA / "selftest_broken_operators.txt").read_text(encoding="utf-8")
+        assert (code, out, err) == (1, expected, "")
 
 
 def test_unknown_flag_exits_2(capsys):

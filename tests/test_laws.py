@@ -1,9 +1,8 @@
 import random
 
+from mereovc import laws
 from mereovc.laws import (
-    IMPLICATION_LAW_NAMES,
     MAX_REPORTED_FAILURES,
-    LawReport,
     exhaustive_case,
     random_universe,
     run_law_suite,
@@ -24,7 +23,7 @@ def test_suite_covers_every_advertised_law():
     names = {r.name for r in reports}
     for i in range(1, 15):
         assert f"m{i}" in names
-    assert set(IMPLICATION_LAW_NAMES) <= names
+    assert {f"implication law {i}" for i in range(1, 8)} <= names
     assert {"class requirement 1", "class requirement 2"} <= names
     assert {"part irreflexive", "component reflexive", "part asymmetric"} <= names
     assert "component axiom" in names
@@ -46,15 +45,35 @@ def test_random_universe_shape():
         assert sum(u.atom_weights.values()) == 1
 
 
-def test_report_caps_recorded_failures():
-    report = LawReport(name="always false")
-    for i in range(MAX_REPORTED_FAILURES + 4):
-        report.check(False, context=f"case {i}")
+def test_report_caps_recorded_failures(monkeypatch):
+    monkeypatch.setattr(laws, "LAWS", (("always false", "terms", lambda x: False),))
+    universe = WeightedUniverse.uniform("abcd")
+    (report,) = run_law_suite([exhaustive_case(universe)])
     assert not report.ok
-    assert report.cases == MAX_REPORTED_FAILURES + 4
-    assert len(report.failures) == MAX_REPORTED_FAILURES
+    assert report.cases == 15 > MAX_REPORTED_FAILURES
+    assert report.failures == [f"x={t!r}" for t in universe.all_terms()][:MAX_REPORTED_FAILURES]
 
 
 def test_every_case_count_is_positive():
     reports = run_law_suite([exhaustive_case(WeightedUniverse.uniform("abcd"))])
     assert all(r.cases > 0 for r in reports)
+
+
+def test_component_axiom_is_linear_in_the_atoms_of_its_first_term(monkeypatch):
+    # Walking every component of a 40-atom term would take 2**40 calls.
+    universe = WeightedUniverse.uniform(range(60))
+    a, b = universe.term(range(40)), universe.term(range(50))
+    calls = 0
+    real_exterior = laws.exterior
+
+    def counted_exterior(x, y):
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise AssertionError("component axiom walks too many components")
+        return real_exterior(x, y)
+
+    monkeypatch.setattr(laws, "exterior", counted_exterior)
+    assert laws._component_axiom(a, b)
+    assert laws._component_axiom(universe.term(range(45, 55)), b)
+    assert calls <= 50
