@@ -111,34 +111,44 @@ def check_t_norm(
     Monotonicity over consecutive grid points implies monotonicity on
     the whole grid, so only neighbours are compared. Values within 1e-9
     count as equal.
+
+    op is evaluated once per pair of grid points, up front, and must be a
+    function of its arguments' values. Associativity reads that table
+    wherever an inner value op(x, y) or op(y, z) lands on the grid, and
+    calls op only when it does not.
     """
     pts = grid_points(grid_step)
     tolerance = 1e-9
+    table = [[op(x, y) for y in pts] for x in pts]
+    on_grid = {p: k for k, p in enumerate(pts)}
+    grid_index = [[on_grid.get(value) for value in row] for row in table]
 
-    for x in pts:
-        for y in pts:
-            if abs(op(x, y) - op(y, x)) > tolerance:
+    for x, row, column in zip(pts, table, zip(*table)):
+        for y, xy, yx in zip(pts, row, column):
+            if abs(xy - yx) > tolerance:
                 return TNormCheck(False, TNormViolation(
                     "commutativity", (x, y), f"op({x},{y}) != op({y},{x})"))
-    for x in pts:
-        for y in pts:
-            xy = op(x, y)
-            for z in pts:
-                if abs(op(xy, z) - op(x, op(y, z))) > tolerance:
+    for x, row_x, index_x in zip(pts, table, grid_index):
+        for y, xy, k, row_y, index_y in zip(pts, row_x, index_x, table, grid_index):
+            row_xy = None if k is None else table[k]
+            for iz, (z, yz, m) in enumerate(zip(pts, row_y, index_y)):
+                xy_z = op(xy, z) if row_xy is None else row_xy[iz]
+                x_yz = op(x, yz) if m is None else row_x[m]
+                if abs(xy_z - x_yz) > tolerance:
                     return TNormCheck(False, TNormViolation(
                         "associativity", (x, y, z),
                         f"op(op({x},{y}),{z}) != op({x},op({y},{z}))"))
-    for x1, x2 in zip(pts, pts[1:]):
-        for y in pts:
-            if op(x1, y) > op(x2, y) + tolerance:
+    for x1, x2, row1, row2 in zip(pts, pts[1:], table, table[1:]):
+        for y, x1_y, x2_y in zip(pts, row1, row2):
+            if x1_y > x2_y + tolerance:
                 return TNormCheck(False, TNormViolation(
                     "monotonicity", (x1, x2, y),
                     f"op decreases from x={x1} to x={x2} at y={y}"))
-    for x in pts:
-        if abs(op(x, 1.0) - x) > tolerance:
+    for x, row in zip(pts, table):
+        if abs(row[-1] - x) > tolerance:
             return TNormCheck(False, TNormViolation(
                 "boundary", (x, 1.0), f"op({x},1) != {x}"))
-        if abs(op(x, 0.0)) > tolerance:
+        if abs(row[0]) > tolerance:
             return TNormCheck(False, TNormViolation(
                 "boundary", (x, 0.0), f"op({x},0) != 0"))
     return TNormCheck(True, None)

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import lcm
+from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -34,12 +36,17 @@ Degree = Fraction
 
 @dataclass(frozen=True, eq=False)
 class WeightedUniverse:
-    """A finite atom set with positive rational weights summing to one."""
+    """A finite atom set with positive rational weights summing to one.
+
+    The weights are kept as a read-only copy, and also as integer masses
+    over their common denominator, so that a weight is one integer sum.
+    """
 
     atoms: tuple[Atom, ...]
     atom_weights: Mapping[Atom, Fraction]
 
     def __post_init__(self):
+        object.__setattr__(self, "atom_weights", MappingProxyType(dict(self.atom_weights)))
         if not self.atoms:
             raise DomainError("a universe needs at least one atom")
         if len(set(self.atoms)) != len(self.atoms):
@@ -53,6 +60,11 @@ class WeightedUniverse:
                 raise DomainError(f"weight of {a!r} must be positive")
         if sum(self.atom_weights.values()) != 1:
             raise DomainError("atom weights must sum to exactly 1")
+        denominator = lcm(*(w.denominator for w in self.atom_weights.values()))
+        object.__setattr__(self, "_denominator", denominator)
+        object.__setattr__(self, "_masses", {
+            a: w.numerator * (denominator // w.denominator)
+            for a, w in self.atom_weights.items()})
 
     @classmethod
     def uniform(cls, atoms: Iterable[Atom]) -> "WeightedUniverse":
@@ -63,6 +75,9 @@ class WeightedUniverse:
     @classmethod
     def from_counts(cls, counts: Mapping[Atom, int]) -> "WeightedUniverse":
         """Normalise positive integer masses into exact weights."""
+        for a, c in counts.items():
+            if not isinstance(c, int) or c <= 0:
+                raise DomainError(f"mass of {a!r} must be a positive integer, not {c!r}")
         atoms = tuple(counts)
         total = sum(counts.values())
         return cls(atoms, {a: Fraction(c, total) for a, c in counts.items()})
@@ -190,16 +205,25 @@ def is_valid(x: Term) -> bool:
     return x.members == frozenset(x.universe.atoms)
 
 
+def _mass(u: WeightedUniverse, members: Iterable[Atom]) -> int:
+    """Weight of the members times the universe's common denominator."""
+    return sum(map(u._masses.__getitem__, members))
+
+
 def weight(x: Term) -> Fraction:
-    return sum((x.universe.atom_weights[a] for a in x.members), Fraction(0))
+    u = x.universe
+    return Fraction(_mass(u, x.members), u._denominator)
 
 
 def degree_of_part(x: Term, y: Term) -> Degree:
-    """Exact rough-inclusion degree of x in y: weight of x.y over weight of x."""
-    _same_universe(x, y)
+    """Exact rough-inclusion degree of x in y: weight of x.y over weight of x.
+
+    The common denominator cancels, so the degree is a ratio of masses.
+    """
+    u = _same_universe(x, y)
     if x.is_empty:
         raise UndefinedDegreeError("inclusion degree of the empty term is undefined")
-    return weight(alg_product(x, y)) / weight(x)
+    return Fraction(_mass(u, x.members & y.members), _mass(u, x.members))
 
 
 def nonempty_subsets(x: Term) -> Iterator[Term]:

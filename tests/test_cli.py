@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -411,6 +412,15 @@ class TestAlgebraSelftest:
         code, out, err = run(capsys, "algebra", "selftest", "--atoms", "3", "--random", "5")
         expected = (DATA / "selftest_broken_operators.txt").read_text(encoding="utf-8")
         assert (code, out, err) == (1, expected, "")
+
+    # stdout sha256 of each run by its flags, recorded on CPython 3.11.7
+    PINNED = json.loads((DATA / "selftest_stdout_sha256.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("flags", list(PINNED))
+    def test_stdout_is_pinned(self, capsys, flags):
+        code, out, err = run(capsys, "algebra", "selftest", *flags.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[flags]
 
 
 def test_unknown_flag_exits_2(capsys):
