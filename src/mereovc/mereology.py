@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
 from types import MappingProxyType
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     DomainError,
@@ -40,6 +40,7 @@ class WeightedUniverse:
 
     The weights are kept as a read-only copy, and also as integer masses
     over their common denominator, so that a weight is one integer sum.
+    The atoms are also kept once as a frozenset.
     """
 
     atoms: tuple[Atom, ...]
@@ -47,11 +48,12 @@ class WeightedUniverse:
 
     def __post_init__(self):
         object.__setattr__(self, "atom_weights", MappingProxyType(dict(self.atom_weights)))
+        object.__setattr__(self, "_atom_set", frozenset(self.atoms))
         if not self.atoms:
             raise DomainError("a universe needs at least one atom")
-        if len(set(self.atoms)) != len(self.atoms):
+        if len(self._atom_set) != len(self.atoms):
             raise DomainError("duplicate atoms")
-        if set(self.atom_weights) != set(self.atoms):
+        if self.atom_weights.keys() != self._atom_set:
             raise DomainError("weights must cover exactly the atoms")
         for a, w in self.atom_weights.items():
             if not isinstance(w, Fraction):
@@ -84,7 +86,7 @@ class WeightedUniverse:
 
     def term(self, members: Iterable[Atom]) -> "Term":
         members = frozenset(members)
-        stray = members - set(self.atoms)
+        stray = members - self._atom_set
         if stray:
             raise DomainError(f"atoms not in this universe: {sorted(stray, key=repr)}")
         return Term(self, members)
@@ -95,7 +97,7 @@ class WeightedUniverse:
 
     @property
     def universe(self) -> "Term":
-        return Term(self, frozenset(self.atoms))
+        return Term(self, self._atom_set)
 
     def all_terms(self, include_empty: bool = False) -> Iterator["Term"]:
         """Every term, ordered by size then by atom representation."""
@@ -106,9 +108,8 @@ class WeightedUniverse:
                 yield Term(self, frozenset(combo))
 
 
-@dataclass(frozen=True)
-class Term:
-    """A subset of one universe's atoms."""
+class Term(NamedTuple):
+    """A subset of one universe's atoms, as the pair (universe, members)."""
 
     universe: WeightedUniverse
     members: frozenset[Atom]
@@ -129,6 +130,13 @@ def _same_universe(*terms: Term) -> WeightedUniverse:
     return u
 
 
+def _pair(x: Term, y: Term) -> WeightedUniverse:
+    u = x.universe
+    if y.universe is not u:
+        raise UniverseMismatchError("terms belong to different universes")
+    return u
+
+
 def _import_required(*terms: Term) -> None:
     for t in terms:
         if t.is_empty:
@@ -137,18 +145,18 @@ def _import_required(*terms: Term) -> None:
 
 def proper_part(x: Term, y: Term) -> bool:
     """Strict containment of a non-empty term. Nothing is part of itself."""
-    _same_universe(x, y)
+    _pair(x, y)
     return bool(x.members) and x.members < y.members
 
 
 def component(x: Term, y: Term) -> bool:
     """Proper part or equality, for non-empty x."""
-    _same_universe(x, y)
+    _pair(x, y)
     return bool(x.members) and x.members <= y.members
 
 
 def overlap(x: Term, y: Term) -> bool:
-    _same_universe(x, y)
+    _pair(x, y)
     _import_required(x, y)
     return bool(x.members & y.members)
 
@@ -182,27 +190,28 @@ def class_of(terms: Iterable[Term]) -> Term:
 
 
 def alg_sum(x: Term, y: Term) -> Term:
-    u = _same_universe(x, y)
+    u = _pair(x, y)
     return Term(u, x.members | y.members)
 
 
 def alg_product(x: Term, y: Term) -> Term:
-    u = _same_universe(x, y)
+    u = _pair(x, y)
     return Term(u, x.members & y.members)
 
 
 def alg_complement(x: Term) -> Term:
-    return Term(x.universe, frozenset(x.universe.atoms) - x.members)
+    return Term(x.universe, x.universe._atom_set - x.members)
 
 
 def implication(x: Term, y: Term) -> Term:
     """The term value of x implying y: complement of x joined with y."""
-    return alg_sum(alg_complement(x), y)
+    u = _pair(x, y)
+    return Term(u, (u._atom_set - x.members) | y.members)
 
 
 def is_valid(x: Term) -> bool:
     """True when the term is the whole universe."""
-    return x.members == frozenset(x.universe.atoms)
+    return x.members == x.universe._atom_set
 
 
 def _mass(u: WeightedUniverse, members: Iterable[Atom]) -> int:
@@ -220,7 +229,7 @@ def degree_of_part(x: Term, y: Term) -> Degree:
 
     The common denominator cancels, so the degree is a ratio of masses.
     """
-    u = _same_universe(x, y)
+    u = _pair(x, y)
     if x.is_empty:
         raise UndefinedDegreeError("inclusion degree of the empty term is undefined")
     return Fraction(_mass(u, x.members & y.members), _mass(u, x.members))
