@@ -122,14 +122,6 @@ class Term(NamedTuple):
         return f"Term({{{', '.join(map(repr, sorted(self.members, key=repr)))}}})"
 
 
-def _same_universe(*terms: Term) -> WeightedUniverse:
-    u = terms[0].universe
-    for t in terms[1:]:
-        if t.universe is not u:
-            raise UniverseMismatchError("terms belong to different universes")
-    return u
-
-
 def _pair(x: Term, y: Term) -> WeightedUniverse:
     u = x.universe
     if y.universe is not u:
@@ -167,7 +159,8 @@ def exterior(x: Term, y: Term) -> bool:
 
 def relative_exterior(a: Term, m: Term, b: Term) -> bool:
     """Both proper parts of b, yet disjoint from one another."""
-    _same_universe(a, m, b)
+    _pair(a, m)
+    _pair(a, b)
     _import_required(a, m)
     return proper_part(a, b) and proper_part(m, b) and exterior(a, m)
 
@@ -181,7 +174,9 @@ def class_of(terms: Iterable[Term]) -> Term:
     terms = tuple(terms)
     if not terms:
         raise DomainError("the class of an empty collection does not exist")
-    u = _same_universe(*terms)
+    u = terms[0].universe
+    for t in terms[1:]:
+        _pair(terms[0], t)
     _import_required(*terms)
     merged: frozenset[Atom] = frozenset()
     for t in terms:
