@@ -32,7 +32,6 @@ from .mereology import (
     exterior,
     implication,
     is_valid,
-    nonempty_subsets,
     overlap,
     proper_part,
     relative_exterior,
@@ -171,30 +170,17 @@ def _degree_monotone_under_full_part(x, y, z):
     )
 
 
+def _atom_components(x: Term) -> Iterable[Term]:
+    """The single-atom components of x. Every non-empty component of x
+    holds one of them, so they decide a law over all components of x."""
+    u = x.universe
+    return (Term(u, frozenset((atom,))) for atom in x.members)
+
+
 def _component_axiom(a, b):
     # If every non-empty component of a overlaps b then a is a component
-    # of b. Overlapping b is the same as overlapping some component of b.
-    # A component exterior to b holds an atom exterior to b, so trying the
-    # single-atom components of a is enough.
-    for atom in a.members:
-        if exterior(Term(a.universe, frozenset([atom])), b):
-            return True
-    return component(a, b)
-
-
-COMPONENT_SAMPLE = 300
-
-
-def _component_sample(term: Term, seed_salt: str):
-    """Non-empty components of a term, exhaustive when cheap enough."""
-    if len(term.members) <= 8:
-        yield from nonempty_subsets(term)
-        return
-    rng = random.Random(f"{seed_salt}:{sorted(term.members, key=repr)!r}")
-    atoms = sorted(term.members, key=repr)
-    for _ in range(COMPONENT_SAMPLE):
-        size = rng.randint(1, len(atoms))
-        yield term.universe.term(rng.sample(atoms, size))
+    # of b. A component exterior to b holds an atom exterior to b.
+    return any(exterior(c, b) for c in _atom_components(a)) or component(a, b)
 
 
 def _class_requirement_1(collection):
@@ -203,11 +189,12 @@ def _class_requirement_1(collection):
 
 
 def _class_requirement_2(collection):
-    cls = class_of(collection)
-    for c in _component_sample(cls, "classreq"):
-        if not any(overlap(c, b) for b in collection):
-            return False
-    return True
+    # Every component of the class overlaps some member. A component
+    # overlaps a member iff one of its atoms does.
+    return all(
+        any(overlap(c, b) for b in collection)
+        for c in _atom_components(class_of(collection))
+    )
 
 
 # Every law in print order: (report name, the LawCase field it ranges

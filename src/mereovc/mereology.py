@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
@@ -229,12 +229,3 @@ def degree_of_part(x: Term, y: Term) -> Degree:
         raise UndefinedDegreeError("inclusion degree of the empty term is undefined")
     return Fraction(_mass(u, x.members & y.members), _mass(u, x.members))
 
-
-def nonempty_subsets(x: Term) -> Iterator[Term]:
-    """All non-empty component terms of x, smallest first."""
-    atoms = sorted(x.members, key=repr)
-    u = x.universe
-    for combo in chain.from_iterable(
-        combinations(atoms, size) for size in range(1, len(atoms) + 1)
-    ):
-        yield Term(u, frozenset(combo))

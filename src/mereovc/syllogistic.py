@@ -106,22 +106,13 @@ def _tables():
     rows: dict[str, list[int]] = {}
     cols: dict[str, list[int]] = {}
     for q in QUANTIFIERS:
-        row_list = []
+        row_list = rows[q] = [0] * _TERM_MASKS
+        col_list = cols[q] = [0] * _TERM_MASKS
         for i in range(_TERM_MASKS):
-            acc = 0
             for j in range(_TERM_MASKS):
                 if _holds(q, i + 1, j + 1):
-                    acc |= 1 << j
-            row_list.append(acc)
-        rows[q] = row_list
-        col_list = []
-        for j in range(_TERM_MASKS):
-            acc = 0
-            for i in range(_TERM_MASKS):
-                if _holds(q, i + 1, j + 1):
-                    acc |= 1 << i
-            col_list.append(acc)
-        cols[q] = col_list
+                    row_list[i] |= 1 << j
+                    col_list[j] |= 1 << i
     return rows, cols
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 from mereovc import laws
 from mereovc.laws import (
@@ -8,7 +9,7 @@ from mereovc.laws import (
     run_law_suite,
     sampled_case,
 )
-from mereovc.mereology import WeightedUniverse
+from mereovc.mereology import WeightedUniverse, overlap
 
 
 def test_exhaustive_three_atoms_all_green():
@@ -41,7 +42,7 @@ def test_random_universe_shape():
     rng = random.Random(0)
     for _ in range(20):
         u = random_universe(rng, max_atoms=6)
-        assert 1 <= len(u.atoms) <= 6
+        assert 2 <= len(u.atoms) <= 6
         assert sum(u.atom_weights.values()) == 1
 
 
@@ -77,3 +78,74 @@ def test_component_axiom_is_linear_in_the_atoms_of_its_first_term(monkeypatch):
     assert laws._component_axiom(a, b)
     assert laws._component_axiom(universe.term(range(45, 55)), b)
     assert calls <= 50
+
+
+def every_component_overlaps_a_member(collection, cls):
+    # Reference for class requirement 2: walk all 2**n - 1 non-empty
+    # components of the class.
+    atoms = sorted(cls.members, key=repr)
+    return all(
+        any(overlap(cls.universe.term(combo), b) for b in collection)
+        for size in range(1, len(atoms) + 1)
+        for combo in combinations(atoms, size)
+    )
+
+
+def with_stray_atom(real_class_of, stray):
+    # A faulty class: the sum of the collection plus one atom outside it.
+    def class_of(collection):
+        cls = real_class_of(collection)
+        return cls.universe.term(cls.members | {stray})
+
+    return class_of
+
+
+def test_class_requirement_2_equals_the_walk_over_all_components(monkeypatch):
+    cases = [
+        collection
+        for k in range(2, 6)
+        for (collection,) in exhaustive_case(WeightedUniverse.uniform(range(k))).collections
+    ]
+    real_class_of = laws.class_of
+    for collection in cases:
+        expected = every_component_overlaps_a_member(collection, real_class_of(collection))
+        assert (laws._class_requirement_2(collection), expected) == (True, True)
+    faulty_cases = 0
+    for collection in cases:
+        cls = real_class_of(collection)
+        outside = sorted(set(cls.universe.atoms) - cls.members)
+        if not outside:
+            continue
+        faulty = with_stray_atom(real_class_of, outside[0])
+        monkeypatch.setattr(laws, "class_of", faulty)
+        expected = every_component_overlaps_a_member(collection, faulty(collection))
+        assert (laws._class_requirement_2(collection), expected) == (False, False)
+        faulty_cases += 1
+    assert faulty_cases > 0
+
+
+# Two members of a 60-atom universe whose class has 40 atoms.
+U60 = WeightedUniverse.uniform(range(60))
+COLLECTION_40 = (U60.term(range(20)), U60.term(range(15, 40)))
+
+
+def test_class_requirement_2_catches_one_stray_atom_in_a_large_class(monkeypatch):
+    # Only the component made of the stray atom alone overlaps no member,
+    # so 300 sampled components of a 41-atom class rarely find it.
+    assert laws._class_requirement_2(COLLECTION_40)
+    monkeypatch.setattr(laws, "class_of", with_stray_atom(laws.class_of, 59))
+    assert not laws._class_requirement_2(COLLECTION_40)
+
+
+def test_class_requirement_2_is_linear_in_the_atoms_of_the_class(monkeypatch):
+    calls = 0
+    real_overlap = laws.overlap
+
+    def counted_overlap(x, y):
+        nonlocal calls
+        calls += 1
+        return real_overlap(x, y)
+
+    monkeypatch.setattr(laws, "overlap", counted_overlap)
+    assert laws._class_requirement_2(COLLECTION_40)
+    assert 0 < calls <= 40 * len(COLLECTION_40)

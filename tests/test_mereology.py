@@ -20,7 +20,6 @@ from mereovc.mereology import (
     exterior,
     implication,
     is_valid,
-    nonempty_subsets,
     overlap,
     proper_part,
     relative_exterior,
@@ -134,11 +133,6 @@ class TestAlgebra:
     def test_degree_of_empty_undefined(self):
         with pytest.raises(UndefinedDegreeError):
             degree_of_part(U4.empty, T(U4, "a"))
-
-    def test_nonempty_subsets(self):
-        subs = list(nonempty_subsets(T(U4, "abc")))
-        assert len(subs) == 7
-        assert all(not s.is_empty for s in subs)
 
 
 # hypothesis fuel: subsets of a fixed lopsided 5-atom universe

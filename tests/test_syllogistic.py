@@ -1,5 +1,7 @@
 import pytest
 
+from mereovc import syllogistic
+
 from mereovc.errors import DomainError, PremissSyntaxError, UnknownMoodError
 from mereovc.syllogistic import (
     EulerModel,
@@ -165,3 +167,10 @@ class TestCatalog:
     def test_every_catalog_name_is_valid(self):
         for name in catalog_names():
             assert is_valid_mood(lookup_mood(name)).valid, name
+
+
+def test_assignment_columns_are_the_bit_transpose_of_the_rows():
+    rows, cols = syllogistic._tables()
+    masks = range(syllogistic._TERM_MASKS)
+    for q in syllogistic.QUANTIFIERS:
+        assert cols[q] == [sum((rows[q][i] >> j & 1) << i for i in masks) for j in masks]
