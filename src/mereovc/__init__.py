@@ -17,7 +17,6 @@ from .errors import (
     DecisionParseError,
     DomainError,
     EmptyTermError,
-    FamilyTooLargeError,
     InputError,
     MereovcError,
     PremissSyntaxError,
@@ -34,7 +33,6 @@ from .mistakes import LocalizationResult, MistakeLedger, count_mistakes, localiz
 from .predict import (
     PredictionConfig,
     TrialResult,
-    approx_predicted,
     leave_one_out,
     run_trial,
 )
@@ -47,17 +45,15 @@ from .tables import (
     is_consistent,
     load_decision_system,
 )
-from .vc import ComponentFamily, vc_dimension, vc_of_object
+from .vc import vc_of_object
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComponentFamily",
     "DecisionParseError",
     "DecisionSystem",
     "DomainError",
     "EmptyTermError",
-    "FamilyTooLargeError",
     "InputError",
     "LocalizationResult",
     "MereovcError",
@@ -76,7 +72,6 @@ __all__ = [
     "UnknownMoodError",
     "UsageError",
     "WeightedUniverse",
-    "approx_predicted",
     "check_t_norm",
     "consistentize",
     "count_mistakes",
@@ -91,6 +86,5 @@ __all__ = [
     "parse_mood",
     "propagate",
     "run_trial",
-    "vc_dimension",
     "vc_of_object",
 ]

@@ -55,7 +55,3 @@ class EmptyTermError(DomainError):
 
 class UndefinedDegreeError(DomainError):
     """Inclusion degree with an empty left argument is undefined."""
-
-
-class FamilyTooLargeError(DomainError):
-    """Ground set exceeds the explicit-enumeration cap."""

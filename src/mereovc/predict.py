@@ -49,7 +49,7 @@ class PredictionConfig:
             object.__setattr__(self, "tie_strategy", "lowest_object_id")
         if not 0 <= self.epsilon <= 1:
             raise DomainError("epsilon must lie in [0, 1]")
-        if not (isinstance(self.delta, int) and self.delta >= 1):
+        if isinstance(self.delta, bool) or not (isinstance(self.delta, int) and self.delta >= 1):
             raise DomainError("delta must be a positive integer")
         if self.mode not in ("exact", "at_least"):
             raise DomainError("mode must be 'exact' or 'at_least'")
@@ -277,15 +277,3 @@ def leave_one_out(
         trials.append(_finish(panel, decisions[i], config))
     return trials
 
-
-def approx_predicted(trials: Sequence[TrialResult]) -> bool:
-    """Whether every trial rewarded at least one agent.
-
-    Equivalent to requiring the minimum over trials of the reward sum to
-    be at least 1.
-    """
-    if not trials:
-        raise DomainError("approximate prediction needs at least one trial")
-    if any(trial.rewards is None for trial in trials):
-        raise DomainError("approximate prediction needs scored trials")
-    return all(any(trial.rewards) for trial in trials)

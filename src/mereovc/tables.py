@@ -69,12 +69,6 @@ class NewObject:
     def as_mapping(self) -> dict[str, Value]:
         return {d.feature: d.value for d in sorted(self.descriptors, key=lambda d: d.feature)}
 
-    def extended(self, feature: str, value: Value) -> "NewObject":
-        """A copy with one extra descriptor. The feature must be new."""
-        if feature in self.features:
-            raise SchemaError(f"feature {feature!r} already present")
-        return NewObject(self.descriptors | {Descriptor(feature, value)})
-
 
 @dataclass(frozen=True)
 class DecisionSystem:

@@ -43,7 +43,7 @@ from mereovc.syllogistic import (
     evaluate_premiss,
     is_valid_mood,
 )
-from mereovc.vc import (
+from oracle import (
     ComponentFamily,
     component_size_bound,
     vc_dimension,

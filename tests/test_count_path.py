@@ -6,7 +6,8 @@ inconsistent table. The old route repaired such a table with a decision
 copy column, gave omega a value there that no row holds, and took VC from
 explicit descriptor sets. These tests run the old route with the
 brute-force oracle and require the same numbers, and check the
-closed-form shattering test behind vc_count set by set against shatters.
+closed-form shattering test behind vc_count set by set against the
+brute-force shattering check.
 """
 
 import random
@@ -22,15 +23,8 @@ from mereovc.tables import (
     consistentize,
     is_consistent,
 )
-from mereovc.vc import (
-    ComponentFamily,
-    _split_shattered,
-    shatters,
-    touching_set,
-    vc_count,
-    vc_dimension_bruteforce,
-    vc_of_object,
-)
+from mereovc.vc import _split_shattered, touching_set, vc_count, vc_of_object
+from oracle import ComponentFamily, extended, shatters_bruteforce, vc_dimension_bruteforce
 
 EPSILONS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
 MODES = ["exact", "at_least"]
@@ -67,7 +61,7 @@ def old_route(system, omega, epsilon, mode):
         while fresh in system.features:
             fresh += "'"
         system = consistentize(system, fresh)
-        omega = omega.extended(fresh, object())
+        omega = extended(omega, fresh, object())
     out = []
     for o in system.objects:
         touch = touching_set(system, o, omega)
@@ -141,7 +135,7 @@ def test_split_test_matches_shatters(mode):
                         got = _split_shattered(
                             s1, s0, touching_size - s1, len(rest) - s0, epsilon, mode
                         )
-                        assert got == bool(shatters(family, s)), (
+                        assert got == shatters_bruteforce(family, s), (
                             ground_size, touching_size, s1, s0, epsilon)
                         checked += 1
     assert checked == 4050

@@ -6,10 +6,10 @@ import pytest
 
 from conftest import load_csv
 from mereovc.errors import DomainError
+from mereovc.mistakes import count_mistakes
 from mereovc.predict import (
     PredictionConfig,
     TrialResult,
-    approx_predicted,
     max_rewarded_loss,
     radius,
     reward,
@@ -71,6 +71,11 @@ class TestConfig:
             PredictionConfig(mode="fuzzy")
         with pytest.raises(DomainError):
             PredictionConfig(radius_tolerance=0)
+
+    def test_bool_delta_rejected(self):
+        # bool is an int subclass; a report would echo "delta": true
+        with pytest.raises(DomainError, match="delta"):
+            PredictionConfig(delta=True)
 
     def test_lowest_alias(self):
         assert PredictionConfig(tie_strategy="lowest").tie_strategy == "lowest_object_id"
@@ -218,21 +223,24 @@ class TestRunTrial:
 
 
 class TestApproxPredicted:
+    """Approximate prediction, every trial rewarding some agent, is read
+    off the mistake ledger as all(count_mistakes(trials).covered)."""
+
     def test_all_trials_covered(self):
         t1 = score_trial(panel((1, 1, 2, 4.0), (2, 1, 2, 6.0)), 5.0)
         t2 = score_trial(panel((1, 1, 1, 5.0)), 5.0)
-        assert approx_predicted([t1, t2])
+        assert all(count_mistakes([t1, t2]).covered)
 
     def test_one_uncovered_trial(self):
         good = score_trial(panel((1, 1, 2, 4.0)), 5.0)
         bad = score_trial(panel((1, 1, 0, 4.0)), 9.0)
-        assert not approx_predicted([good, bad])
+        assert count_mistakes([good, bad]).covered == (True, False)
 
     def test_needs_input(self):
         with pytest.raises(DomainError):
-            approx_predicted([])
+            count_mistakes([])
         with pytest.raises(DomainError):
-            approx_predicted([panel((1, 1, 1, 4.0))])
+            count_mistakes([panel((1, 1, 1, 4.0))])
 
 
 def entry_point_cases():

