@@ -39,7 +39,6 @@ from .predict import (
 from .syllogistic import Mood, Premiss, enumerate_moods, is_valid_mood, parse_mood
 from .tables import (
     DecisionSystem,
-    NewObject,
     consistentize,
     indiscernibility_class,
     is_consistent,
@@ -59,7 +58,6 @@ __all__ = [
     "MereovcError",
     "MistakeLedger",
     "Mood",
-    "NewObject",
     "PredictionConfig",
     "Premiss",
     "PremissSyntaxError",

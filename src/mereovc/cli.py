@@ -38,7 +38,7 @@ from .syllogistic import (
     lookup_mood,
     parse_mood,
 )
-from .tables import DecisionSystem, NewObject, load_decision_system, read_records
+from .tables import DecisionSystem, load_decision_system, read_records
 
 
 def parse_rational(text: str) -> Fraction:
@@ -173,7 +173,7 @@ def _load_table(path: str, decision: Optional[str]) -> DecisionSystem:
         return load_decision_system(handle, decision_column=decision)
 
 
-def _parse_omega(source: str, system: DecisionSystem) -> tuple[NewObject, dict]:
+def _parse_omega(source: str, system: DecisionSystem) -> dict[str, str]:
     """Inline "f=v" pairs when the source contains "=", else a one-row CSV."""
     if "=" in source:
         mapping: dict[str, str] = {}
@@ -211,8 +211,7 @@ def _parse_omega(source: str, system: DecisionSystem) -> tuple[NewObject, dict]:
         if extra:
             parts.append(f"unknown feature(s): {', '.join(extra)}")
         raise UsageError("; ".join(parts))
-    ordered = {f: mapping[f] for f in system.features}
-    return NewObject.from_mapping(ordered), ordered
+    return {f: mapping[f] for f in system.features}
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -357,9 +356,9 @@ def _trial_fields(trial: TrialResult) -> dict:
 def cmd_predict(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     system = _load_table(args.table, args.decision)
-    omega, omega_mapping = _parse_omega(args.omega, system)
+    omega = _parse_omega(args.omega, system)
     trial = run_trial(system, omega, expert=args.expert, config=config)
-    report = {"config": _config_echo(args, config), "omega": omega_mapping, **_trial_fields(trial)}
+    report = {"config": _config_echo(args, config), "omega": omega, **_trial_fields(trial)}
     if args.expert is not None:
         report["max_rewarded_loss"] = max_rewarded_loss(trial)
     report["seed"] = config.rng_seed

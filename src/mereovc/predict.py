@@ -13,15 +13,16 @@ weighted prediction averages all forecasts with VC weights.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import compress, repeat
+from numbers import Real
 from operator import eq, itemgetter, mul
 from statistics import fmean
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
-from .tables import DecisionSystem, NewObject, ObjectId, ground_size, loo_ground_sizes
+from .tables import DecisionSystem, ObjectId, Value, ground_size, loo_ground_sizes
 from .vc import vc_count
 
 # Not called here; imported only because perfbench/spans.py rebinds them to time them.
@@ -44,21 +45,29 @@ class PredictionConfig:
     radius_tolerance: float = 1e-6
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        for field in fields(self):
+            if isinstance(getattr(self, field.name), bool):
+                raise DomainError(f"{field.name} must not be a bool")
+        try:
+            object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        except (TypeError, ValueError, ArithmeticError):
+            raise DomainError(f"epsilon {self.epsilon!r} is not a rational number") from None
         if self.tie_strategy == "lowest":
             object.__setattr__(self, "tie_strategy", "lowest_object_id")
         if not 0 <= self.epsilon <= 1:
             raise DomainError("epsilon must lie in [0, 1]")
-        if isinstance(self.delta, bool) or not (isinstance(self.delta, int) and self.delta >= 1):
+        if not (isinstance(self.delta, int) and self.delta >= 1):
             raise DomainError("delta must be a positive integer")
+        if not isinstance(self.rng_seed, int):
+            raise DomainError("rng_seed must be an integer")
         if self.mode not in ("exact", "at_least"):
             raise DomainError("mode must be 'exact' or 'at_least'")
         if self.tie_strategy not in _TIE_STRATEGIES:
             raise DomainError(f"tie_strategy must be one of {_TIE_STRATEGIES}")
-        if not 0 < self.eta < 1:
-            raise DomainError("eta must lie strictly between 0 and 1")
-        if not self.radius_tolerance > 0:
-            raise DomainError("radius_tolerance must be positive")
+        if not (isinstance(self.eta, Real) and 0 < self.eta < 1):
+            raise DomainError("eta must be a real number strictly between 0 and 1")
+        if not (isinstance(self.radius_tolerance, Real) and self.radius_tolerance > 0):
+            raise DomainError("radius_tolerance must be a positive real number")
 
 
 class TrialResult(NamedTuple):
@@ -207,7 +216,7 @@ def _finish(panel: TrialResult, expert: Optional[float], config: PredictionConfi
 
 def run_trial(
     system: DecisionSystem,
-    omega: NewObject,
+    omega: Mapping[str, Value],
     expert: Optional[float] = None,
     config: PredictionConfig = PredictionConfig(),
     trial_index: int = 0,
@@ -222,15 +231,14 @@ def run_trial(
     """
     if not system.objects:
         raise DomainError("the system has no objects to act as agents")
-    if omega.features != frozenset(system.features):
-        missing = sorted(frozenset(system.features) - omega.features)
-        extra = sorted(omega.features - frozenset(system.features))
+    if omega.keys() != set(system.features):
+        missing = sorted(set(system.features) - omega.keys())
+        extra = sorted(omega.keys() - set(system.features))
         raise DomainError(
             f"the reference object must assign exactly the system's features "
             f"(missing {missing}, extra {extra})"
         )
-    values = omega.as_mapping()
-    reference = tuple(values[f] for f in system.features)
+    reference = tuple(omega[f] for f in system.features)
     objects = system.objects
     sizes = _agreement_counts([system.rows[o] for o in objects], reference)
     forecasts = [system.decisions[o] for o in objects]
@@ -256,7 +264,7 @@ def leave_one_out(
     decision by the panel of all the others; trial i holds out
     system.objects[i].
 
-    Trial i equals run_trial(system.without_object(o), system.as_new_object(o),
+    Trial i equals run_trial(system.without_object(o), system.row(o),
     system.decisions[o], config, i) for the i-th object o, but no rest table
     is built: each rest table's ground size comes from the full-feature
     classes once per session, and each trial is one pass over the other

@@ -27,49 +27,6 @@ ObjectId = int
 Value = Hashable
 
 
-@dataclass(frozen=True, order=True)
-class Descriptor:
-    """One (feature, value) pair of some object."""
-
-    feature: str
-    value: Value
-
-
-@dataclass(frozen=True)
-class NewObject:
-    """An incoming object, given by exactly one descriptor per feature."""
-
-    descriptors: frozenset[Descriptor]
-
-    def __post_init__(self):
-        names = [d.feature for d in self.descriptors]
-        if len(set(names)) != len(names):
-            raise DomainError("a new object needs exactly one descriptor per feature")
-
-    @classmethod
-    def from_mapping(cls, values: Mapping[str, Value]) -> "NewObject":
-        return cls(frozenset(Descriptor(f, v) for f, v in values.items()))
-
-    def __iter__(self):
-        return iter(self.descriptors)
-
-    def __len__(self) -> int:
-        return len(self.descriptors)
-
-    @property
-    def features(self) -> frozenset[str]:
-        return frozenset(d.feature for d in self.descriptors)
-
-    def value(self, feature: str) -> Value:
-        for d in self.descriptors:
-            if d.feature == feature:
-                return d.value
-        raise KeyError(f"unknown feature {feature!r}")
-
-    def as_mapping(self) -> dict[str, Value]:
-        return {d.feature: d.value for d in sorted(self.descriptors, key=lambda d: d.feature)}
-
-
 @dataclass(frozen=True)
 class DecisionSystem:
     """Immutable object/feature/decision table.
@@ -115,18 +72,20 @@ class DecisionSystem:
         return cls(ids, tuple(features), dict(zip(ids, map(tuple, rows))), decision_map)
 
     def value(self, o: ObjectId, feature: str) -> Value:
-        row = self.row(o)
-        if feature not in row:
+        if o not in self.decisions:
+            raise KeyError(f"unknown object id {o}")
+        if feature not in self.features:
             raise KeyError(f"unknown feature {feature!r}")
-        return row[feature]
+        return self.rows[o][self.features.index(feature)]
 
     def row(self, o: ObjectId) -> dict[str, Value]:
         if o not in self.decisions:
             raise KeyError(f"unknown object id {o}")
         return dict(zip(self.features, self.rows[o]))
 
-    def as_new_object(self, o: ObjectId) -> NewObject:
-        return NewObject.from_mapping(self.row(o))
+    # The same dict as row(o); kept under this name because perfbench/spans.py times it.
+    def as_new_object(self, o: ObjectId) -> dict[str, Value]:
+        return self.row(o)
 
     def without_object(self, o: ObjectId) -> "DecisionSystem":
         """The same table minus one object. Remaining ids are unchanged."""
@@ -213,10 +172,9 @@ def indiscernibility_class(
     if not chosen:
         raise DomainError("indiscernibility needs a non-empty feature set")
     reference = [system.value(o, f) for f in chosen]
+    at = [system.features.index(f) for f in chosen]
     return frozenset(
-        other
-        for other in system.objects
-        if all(system.value(other, f) == ref for f, ref in zip(chosen, reference))
+        other for other in system.objects if [system.rows[other][i] for i in at] == reference
     )
 
 

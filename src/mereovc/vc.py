@@ -19,22 +19,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import FrozenSet
+from typing import Mapping
 
 from .errors import DomainError
-from .tables import DecisionSystem, Descriptor, NewObject, ObjectId, ground_size
+from .tables import DecisionSystem, ObjectId, Value, ground_size
 
 _MODES = ("exact", "at_least")
 
 
-def touching_set(system: DecisionSystem, o: ObjectId, omega: NewObject) -> FrozenSet[Descriptor]:
-    """Descriptors on which the row for o agrees with the reference omega."""
-    row = system.as_new_object(o)
-    if omega.features != frozenset(system.features):
-        raise DomainError(
-            "the reference object must assign exactly the system's features"
-        )
-    return frozenset(row) & frozenset(omega)
+def touching_set(system: DecisionSystem, o: ObjectId, omega: Mapping[str, Value]) -> frozenset:
+    """The (feature, value) pairs, or descriptors, the row for o shares with omega."""
+    if omega.keys() != set(system.features):
+        raise DomainError("the reference object must assign exactly the system's features")
+    return frozenset(system.row(o).items() & omega.items())
 
 
 def _split_shattered(s1: int, s0: int, u: int, v: int, eps: Fraction, mode: str) -> bool:
@@ -89,7 +86,7 @@ def vc_count(ground_size: int, touching_size: int, epsilon: Fraction, mode: str)
 def vc_of_object(
     system: DecisionSystem,
     o: ObjectId,
-    omega: NewObject,
+    omega: Mapping[str, Value],
     epsilon: Fraction,
     mode: str = "exact",
 ) -> int:

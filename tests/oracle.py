@@ -1,11 +1,12 @@
 """The set-level VC oracle that the tests hold the count path against.
 
-The ground set of an information table row is its set of descriptors. A
-component family collects, for a threshold epsilon, the descriptor sets
-whose inclusion degree in the touching set (the descriptors a reference
-row shares with the ground row) meets the threshold: exactly in "exact"
-mode, at least in "at_least" mode. Degrees are exact rationals, so no
-threshold comparison is ever approximate.
+The ground set of an information table row is its set of descriptors,
+the (feature, value) pairs of its cells. A component family collects,
+for a threshold epsilon, the descriptor sets whose inclusion degree in
+the touching set (the descriptors a reference row shares with the
+ground row) meets the threshold: exactly in "exact" mode, at least in
+"at_least" mode. Degrees are exact rationals, so no threshold
+comparison is ever approximate.
 
 A set S of descriptors is shattered when every non-empty trace T of S is
 cut out by some family member C, i.e. C & S == T. The brute-force
@@ -19,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import FrozenSet, Hashable, Iterable, Optional
+from typing import FrozenSet, Hashable, Iterable, Mapping, Optional
 
 from mereovc.errors import DomainError, SchemaError, UndefinedDegreeError
-from mereovc.tables import Descriptor, NewObject, Value
+from mereovc.tables import Value
 from mereovc.vc import _MODES, vc_count
 
-GroundSet = FrozenSet[Descriptor]
+GroundSet = FrozenSet[tuple[str, Value]]
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,8 @@ def component_size_bound(family: ComponentFamily) -> Optional[int]:
     return min(int(by_touch), int(by_rest))
 
 
-def extended(omega: NewObject, feature: str, value: Value) -> NewObject:
-    """A copy of omega with one extra descriptor. The feature must be new."""
-    if feature in omega.features:
+def extended(omega: Mapping[str, Value], feature: str, value: Value) -> dict[str, Value]:
+    """A copy of omega with one extra feature. The feature must be new."""
+    if feature in omega:
         raise SchemaError(f"feature {feature!r} already present")
-    return NewObject(omega.descriptors | {Descriptor(feature, value)})
+    return {**omega, feature: value}

@@ -22,7 +22,6 @@ def test_public_names_are_pinned():
         "MereovcError",
         "MistakeLedger",
         "Mood",
-        "NewObject",
         "PredictionConfig",
         "Premiss",
         "PremissSyntaxError",

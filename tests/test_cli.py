@@ -329,7 +329,7 @@ class TestReportRoundTrip:
         with open(edge_table, encoding="utf-8") as handle:
             system = mereovc.load_decision_system(handle)
         config = mereovc.PredictionConfig(delta=3)
-        omega = mereovc.NewObject.from_mapping({"a": "x", "b": "y"})
+        omega = {"a": "x", "b": "y"}
         trials = [mereovc.run_trial(system, omega, expert=0.1, config=config),
                   *mereovc.leave_one_out(system, config)]
         for trial in trials:

@@ -16,13 +16,7 @@ from fractions import Fraction
 import pytest
 
 from mereovc.predict import PredictionConfig, run_trial
-from mereovc.tables import (
-    DecisionSystem,
-    Descriptor,
-    NewObject,
-    consistentize,
-    is_consistent,
-)
+from mereovc.tables import DecisionSystem, consistentize, is_consistent
 from mereovc.vc import _split_shattered, touching_set, vc_count, vc_of_object
 from oracle import ComponentFamily, extended, shatters_bruteforce, vc_dimension_bruteforce
 
@@ -65,7 +59,7 @@ def old_route(system, omega, epsilon, mode):
     out = []
     for o in system.objects:
         touch = touching_set(system, o, omega)
-        family = ComponentFamily(frozenset(system.as_new_object(o)), touch, epsilon, mode)
+        family = ComponentFamily(frozenset(system.row(o).items()), touch, epsilon, mode)
         out.append((len(touch), vc_dimension_bruteforce(family)))
     return out
 
@@ -82,26 +76,26 @@ def test_build_trial_matches_the_descriptor_set_route(epsilon, mode):
     config = PredictionConfig(epsilon=epsilon, mode=mode)
     for system in tables():
         # every row as omega, plus one that agrees with no row anywhere
-        omegas = [system.as_new_object(o) for o in system.objects]
-        omegas.append(NewObject.from_mapping({f: "z" for f in system.features}))
+        omegas = [system.row(o) for o in system.objects]
+        omegas.append({f: "z" for f in system.features})
         for omega in omegas:
             want = old_route(system, omega, epsilon, mode)
             trial = run_trial(system, omega, config=config)
             got = list(zip(trial.touching_sizes, trial.vcs))
-            assert got == want, (system.features, system.rows, omega.as_mapping())
+            assert got == want, (system.features, system.rows, omega)
             # the public per-row function reads the same ground size
             got = [
                 (t, vc_of_object(system, o, omega, epsilon, mode))
                 for o, t in zip(trial.objects, trial.touching_sizes)
             ]
-            assert got == want, (system.features, system.rows, omega.as_mapping())
+            assert got == want, (system.features, system.rows, omega)
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("epsilon", EPSILONS + [Fraction(2, 5), Fraction(3, 5)], ids=str)
 def test_vc_count_matches_bruteforce(epsilon, mode):
     for ground_size in range(8):
-        ground = [Descriptor(f"f{i}", "v") for i in range(ground_size)]
+        ground = [(f"f{i}", "v") for i in range(ground_size)]
         for touching_size in range(ground_size + 1):
             family = ComponentFamily(
                 frozenset(ground), frozenset(ground[:touching_size]), epsilon, mode
@@ -122,7 +116,7 @@ SPLIT_EPSILONS = [
 def test_split_test_matches_shatters(mode):
     checked = 0
     for ground_size in range(9):
-        ground = [Descriptor(f"f{i}", "v") for i in range(ground_size)]
+        ground = [(f"f{i}", "v") for i in range(ground_size)]
         for touching_size in range(ground_size + 1):
             touching, rest = ground[:touching_size], ground[touching_size:]
             for epsilon in SPLIT_EPSILONS:

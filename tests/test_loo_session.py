@@ -1,7 +1,7 @@
 """The one-pass leave-one-out session against the trial-by-trial route.
 
 leave_one_out must give, trial by trial, what run_trial gives on the rest
-table system.without_object(o) with omega system.as_new_object(o) and
+table system.without_object(o) with omega system.row(o) and
 expert system.decisions[o]. Trials are also compared by repr, so -0.0
 against 0.0 or a last-digit difference fails. The evaluate-loo command
 must print, as JSON and as CSV, the bytes of the report built here from
@@ -91,7 +91,7 @@ def oracle(system, config):
     """The trials and ledger by the trial-by-trial route."""
     trials = [
         run_trial(
-            system.without_object(o), system.as_new_object(o), system.decisions[o], config, i
+            system.without_object(o), system.row(o), system.decisions[o], config, i
         )
         for i, o in enumerate(system.objects)
     ]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import compress
+from types import MappingProxyType
 
 import pytest
 
@@ -16,7 +17,7 @@ from mereovc.predict import (
     run_trial,
     score_trial,
 )
-from mereovc.tables import DecisionSystem, NewObject, is_consistent
+from mereovc.tables import DecisionSystem, is_consistent
 
 
 def panel(*rows, vc_star=None, **kwargs):
@@ -48,8 +49,8 @@ class TestForecastAndReward:
     def test_default_policy_is_the_decision(self):
         s = load_csv("f,d\nx,4\n")
         cfg = PredictionConfig(delta=5)
-        near = run_trial(s, NewObject.from_mapping({"f": "x"}), config=cfg)
-        far = run_trial(s, NewObject.from_mapping({"f": "y"}), config=cfg)
+        near = run_trial(s, {"f": "x"}, config=cfg)
+        far = run_trial(s, {"f": "y"}, config=cfg)
         assert list(zip(near.radii, near.forecasts)) == [(5, 4.0)]
         assert list(zip(far.radii, far.forecasts)) == [(0, 4.0)]
 
@@ -76,6 +77,22 @@ class TestConfig:
         # bool is an int subclass; a report would echo "delta": true
         with pytest.raises(DomainError, match="delta"):
             PredictionConfig(delta=True)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", True), ("epsilon", "x"), ("epsilon", "1/0"), ("epsilon", None),
+        ("eta", True), ("eta", "x"), ("eta", 0.5j),
+        ("radius_tolerance", True), ("radius_tolerance", "x"),
+        ("rng_seed", True), ("rng_seed", "x"), ("rng_seed", 1.5),
+    ])
+    def test_wrong_types_are_domain_errors(self, field, value):
+        # a bool is an int: epsilon=True would read as 1 and rng_seed=True
+        # would key the tie draws on "True", not on 1
+        with pytest.raises(DomainError, match=field):
+            PredictionConfig(**{field: value})
+
+    @pytest.mark.parametrize("epsilon", [1, Fraction(1, 3), 0.25, "2/3"])
+    def test_epsilon_accepts_numbers_and_ratio_strings(self, epsilon):
+        assert PredictionConfig(epsilon=epsilon).epsilon == Fraction(epsilon)
 
     def test_lowest_alias(self):
         assert PredictionConfig(tie_strategy="lowest").tie_strategy == "lowest_object_id"
@@ -172,7 +189,7 @@ class TestWeightedPrediction:
 
 class TestRunTrial:
     def test_radii_follow_touching_sizes(self, toy_system):
-        omega = NewObject.from_mapping({"color": "red", "shape": "round", "size": "small"})
+        omega = {"color": "red", "shape": "round", "size": "small"}
         cfg = PredictionConfig(epsilon=Fraction(1), delta=3)
         trial = run_trial(toy_system, omega, expert=5.0, config=cfg)
         assert trial.touching_sizes == [3, 2, 1]
@@ -183,7 +200,7 @@ class TestRunTrial:
         assert trial.winner == (1, 5.0)
 
     def test_omega_equal_to_a_row_gets_radius_delta(self, toy_system):
-        omega = toy_system.as_new_object(0)
+        omega = toy_system.row(0)
         cfg = PredictionConfig(epsilon=Fraction(1), delta=5)
         trial = run_trial(toy_system, omega, config=cfg)
         assert trial.radii[0] == 5
@@ -191,14 +208,26 @@ class TestRunTrial:
     def test_empty_system(self, toy_system):
         empty = toy_system.without_object(0).without_object(1).without_object(2)
         with pytest.raises(DomainError, match="no objects"):
-            run_trial(empty, NewObject.from_mapping({"color": "x", "shape": "y", "size": "z"}))
+            run_trial(empty, {"color": "x", "shape": "y", "size": "z"})
 
     def test_feature_mismatch(self, toy_system):
         with pytest.raises(DomainError, match="missing.*shape"):
-            run_trial(toy_system, NewObject.from_mapping({"color": "red", "size": "small"}))
+            run_trial(toy_system, {"color": "red", "size": "small"})
+        omega = {**toy_system.row(0), "weight": "light"}
+        with pytest.raises(DomainError, match="extra.*weight"):
+            run_trial(toy_system, omega)
+
+    def test_omega_is_read_by_feature_name(self, toy_system):
+        omega = {"color": "red", "shape": "round", "size": "large"}
+        cfg = PredictionConfig(delta=3)
+        want = run_trial(toy_system, omega, expert=5.0, config=cfg)
+        backwards = dict(reversed(omega.items()))
+        assert list(backwards) != list(toy_system.features)
+        assert run_trial(toy_system, backwards, expert=5.0, config=cfg) == want
+        assert run_trial(toy_system, MappingProxyType(omega), expert=5.0, config=cfg) == want
 
     def test_inconsistent_system_is_repaired(self, inconsistent_system):
-        omega = NewObject.from_mapping({"f1": "1", "f2": "a"})
+        omega = {"f1": "1", "f2": "a"}
         cfg = PredictionConfig(epsilon=Fraction(0))
         trial = run_trial(inconsistent_system, omega, expert=4.0, config=cfg)
         # the repair adds one ground descriptor per row that omega never
@@ -208,7 +237,7 @@ class TestRunTrial:
         assert trial.vcs == [1, 1, 3]
 
     def test_unscored_without_expert(self, toy_system):
-        omega = toy_system.as_new_object(2)
+        omega = toy_system.row(2)
         trial = run_trial(toy_system, omega)
         assert trial.expert is None
         assert trial.rewards is None
@@ -216,7 +245,7 @@ class TestRunTrial:
 
     def test_degenerate_weights_fall_back_to_mean(self):
         s = load_csv("f,d\nx,4\ny,8\n")
-        omega = NewObject.from_mapping({"f": "z"})
+        omega = {"f": "z"}
         trial = run_trial(s, omega, config=PredictionConfig(epsilon=Fraction(1)))
         assert trial.weights_degenerate
         assert trial.weighted == pytest.approx(6.0)
@@ -254,13 +283,13 @@ def entry_point_cases():
         rows += [rng.choice(rows) for _ in range(index % 3)]
         decisions = [rng.randint(0, 4) for _ in rows]
         system = DecisionSystem.from_rows(features, rows, decisions)
-        omega = NewObject.from_mapping({f: rng.choice("abz") for f in features})
+        omega = {f: rng.choice("abz") for f in features}
         epsilon = rng.choice([Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1)])
         cases.append((f"random{index}", system, omega, float(rng.randint(-1, 5)), epsilon))
     tied = load_csv("f,d\nx,4\nx,6\ny,9\n")
-    cases.append(("tied", tied, NewObject.from_mapping({"f": "x"}), 5.0, Fraction(1)))
+    cases.append(("tied", tied, {"f": "x"}, 5.0, Fraction(1)))
     flat = load_csv("f,d\nx,4\ny,8\n")
-    cases.append(("all_vc_0", flat, NewObject.from_mapping({"f": "z"}), 5.0, Fraction(1)))
+    cases.append(("all_vc_0", flat, {"f": "z"}, 5.0, Fraction(1)))
     return cases
 
 

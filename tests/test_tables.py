@@ -10,8 +10,6 @@ from mereovc.errors import (
 )
 from mereovc.tables import (
     DecisionSystem,
-    Descriptor,
-    NewObject,
     consistentize,
     find_inconsistency,
     indiscernibility_class,
@@ -85,6 +83,7 @@ class TestDecisionSystem:
 
     def test_row_round_trip(self, toy_system):
         assert toy_system.row(1) == {"color": "red", "shape": "square", "size": "small"}
+        assert toy_system.as_new_object(1) == toy_system.row(1)
 
     def test_without_object_keeps_ids(self, toy_system):
         rest = toy_system.without_object(1)
@@ -107,29 +106,13 @@ class TestDecisionSystem:
 
 
 class TestNewObject:
-    def test_one_descriptor_per_feature(self):
-        with pytest.raises(DomainError):
-            NewObject(frozenset({Descriptor("f", 1), Descriptor("f", 2)}))
-
-    def test_mapping_round_trip(self):
-        obj = NewObject.from_mapping({"f2": "b", "f1": "a"})
-        assert obj.as_mapping() == {"f1": "a", "f2": "b"}
-        assert obj.features == {"f1", "f2"}
-        assert obj.value("f1") == "a"
-        with pytest.raises(KeyError):
-            obj.value("f3")
-
     def test_extended_rejects_collision(self):
-        obj = NewObject.from_mapping({"f1": "a"})
+        obj = {"f1": "a"}
         grown = extended(obj, "f2", "b")
-        assert grown.features == {"f1", "f2"}
+        assert grown == {"f1": "a", "f2": "b"}
+        assert obj == {"f1": "a"}
         with pytest.raises(SchemaError):
             extended(obj, "f1", "z")
-
-    def test_iteration_yields_descriptors(self):
-        obj = NewObject.from_mapping({"f1": "a", "f2": "b"})
-        assert set(obj) == {Descriptor("f1", "a"), Descriptor("f2", "b")}
-        assert len(obj) == 2
 
 
 class TestIndiscernibility:

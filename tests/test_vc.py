@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 from conftest import load_csv
 from mereovc.errors import DomainError, UndefinedDegreeError
 from mereovc.predict import PredictionConfig, run_trial
-from mereovc.tables import Descriptor, NewObject
 from mereovc.vc import touching_set, vc_of_object
 from oracle import (
     ComponentFamily,
@@ -20,7 +20,7 @@ from oracle import (
 
 
 def D(feature):
-    return Descriptor(feature, "v")
+    return (feature, "v")
 
 
 def family(ground, touching, eps, mode="exact"):
@@ -30,27 +30,30 @@ def family(ground, touching, eps, mode="exact"):
 
 
 def names(sets):
-    return sorted(tuple(sorted(d.feature for d in s)) for s in sets)
+    return sorted(tuple(sorted(feature for feature, _ in s)) for s in sets)
 
 
 class TestTouchingSet:
     def test_agreement_descriptors(self):
         s = load_csv("f1,f2,f3,d\n1,9,3,4\n")
-        omega = NewObject.from_mapping({"f1": "1", "f2": "2", "f3": "3"})
+        omega = {"f1": "1", "f2": "2", "f3": "3"}
         touch = touching_set(s, 0, omega)
-        assert touch == {Descriptor("f1", "1"), Descriptor("f3", "3")}
+        assert touch == {("f1", "1"), ("f3", "3")}
+        assert touching_set(s, 0, MappingProxyType(omega)) == touch
 
     def test_full_and_empty(self):
         s = load_csv("f1,f2,d\nx,y,4\n")
-        same = NewObject.from_mapping({"f1": "x", "f2": "y"})
-        other = NewObject.from_mapping({"f1": "p", "f2": "q"})
+        same = {"f1": "x", "f2": "y"}
+        other = {"f1": "p", "f2": "q"}
         assert len(touching_set(s, 0, same)) == 2
         assert touching_set(s, 0, other) == frozenset()
 
     def test_feature_mismatch(self):
         s = load_csv("f1,f2,d\nx,y,4\n")
         with pytest.raises(DomainError):
-            touching_set(s, 0, NewObject.from_mapping({"f1": "x"}))
+            touching_set(s, 0, {"f1": "x"})
+        with pytest.raises(DomainError):
+            touching_set(s, 0, {"f1": "x", "f2": "y", "f3": "z"})
 
 
 class TestComponentFamily:
@@ -166,12 +169,12 @@ class TestVcDimension:
 class TestSystemLevel:
     def test_vc_of_object_and_star(self):
         s = load_csv("f1,f2,f3,d\n1,2,3,4\n1,2,9,5\n7,8,9,6\n")
-        omega = NewObject.from_mapping({"f1": "1", "f2": "2", "f3": "3"})
+        omega = {"f1": "1", "f2": "2", "f3": "3"}
         vcs = [vc_of_object(s, o, omega, Fraction(1)) for o in s.objects]
         assert vcs == [3, 2, 0]
         assert run_trial(s, omega, config=PredictionConfig(epsilon=Fraction(1))).vc_star == 3
 
     def test_identical_rows_reach_full_dimension(self):
         s = load_csv("f1,f2,d\nx,y,4\nx,y,5\n")
-        omega = NewObject.from_mapping({"f1": "x", "f2": "y"})
+        omega = {"f1": "x", "f2": "y"}
         assert run_trial(s, omega, config=PredictionConfig(epsilon=Fraction(1))).vc_star == 2
