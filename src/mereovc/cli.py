@@ -424,34 +424,25 @@ def _model_text(model) -> str:
 
 def cmd_moods(args: argparse.Namespace) -> int:
     if args.moods_command == "list":
-        entries = enumerate_moods()
-        if args.output == "json":
-            payload = [
-                {
-                    "figure": e.figure,
-                    "premiss1": e.mood.premiss1.as_text(),
-                    "premiss2": e.mood.premiss2.as_text(),
-                    "conclusion": e.mood.conclusion.as_text(),
-                    "valid": e.valid,
-                    "name": e.name,
-                }
-                for e in entries
+        header = ["figure", "premiss1", "premiss2", "conclusion", "valid", "name"]
+        rows = [
+            [
+                e.figure,
+                e.mood.premiss1.as_text(),
+                e.mood.premiss2.as_text(),
+                e.mood.conclusion.as_text(),
+                e.valid,
+                e.name,
             ]
-            print(_dumps(payload))
+            for e in enumerate_moods()
+        ]
+        if args.output == "json":
+            print(_dumps([dict(zip(header, row)) for row in rows]))
         else:
-            header = ["figure", "premiss1", "premiss2", "conclusion", "valid", "name"]
-            rows = (
-                [
-                    e.figure,
-                    e.mood.premiss1.as_text(),
-                    e.mood.premiss2.as_text(),
-                    e.mood.conclusion.as_text(),
-                    "true" if e.valid else "false",
-                    e.name or "",
-                ]
-                for e in entries
+            text_rows = (
+                [*head, "true" if valid else "false", name or ""] for *head, valid, name in rows
             )
-            print(_csv_text(header, rows), end="")
+            print(_csv_text(header, text_rows), end="")
         return 0
     expression = args.expression
     mood = lookup_mood(expression) if "->" not in expression.replace("⊃", "->") else parse_mood(expression)

@@ -1,11 +1,15 @@
-"""Aristotelian syllogistic decided over finite Euler-diagram models.
+"""Aristotelian syllogistic decided over the regions of a Venn diagram.
 
-A model assigns every term a non-empty union of the seven atomic cells of
-a three-circle Venn diagram. Deciding validity over all such assignments
-is complete for arbitrary set models: a countermodel built from any sets
-collapses, element by element, to its pattern of occupied cells, and that
-pattern is one of the finite assignments. All terms carry existential
-import, so no term ever denotes the empty collection.
+Three circles a, b and m cut the plane into seven regions, one for each
+non-empty set of terms; cell c holds the elements that lie in exactly the
+terms whose bits are set in c + 1, with a = 1, b = 2 and m = 4. A model is
+the set of inhabited regions, and a term denotes the inhabited regions
+inside its circle. This search is complete for arbitrary set models: a
+countermodel built from any sets collapses, element by element, to its
+pattern of inhabited regions, and the truth of every categorical premiss
+depends only on that pattern, so one of the 127 non-empty patterns
+reproduces it. All terms carry existential import, so no term ever
+denotes the empty collection.
 
 Moods follow a fixed scheme: the conclusion relates subject a to
 predicate b, the middle term m appears in both premisses, the first
@@ -17,15 +21,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import DomainError, PremissSyntaxError, UnknownMoodError
 
 QUANTIFIERS = "AIEO"
 CELL_COUNT = 7
-_TERM_MASKS = (1 << CELL_COUNT) - 1      # non-empty cell unions are 1..127
-_ASSIGNMENT_FULL = (1 << _TERM_MASKS) - 1  # bitset over the 127 term values
+# the cells inside each circle: cell c lies in term t when bit t is set in c + 1
+_CIRCLES = {
+    term: sum(1 << c for c in range(CELL_COUNT) if c + 1 & bit)
+    for term, bit in (("a", 1), ("b", 2), ("m", 4))
+}
 
 
 @dataclass(frozen=True)
@@ -96,35 +102,8 @@ def _holds(quantifier: str, subject_mask: int, predicate_mask: int) -> bool:
     return subject_mask & predicate_mask != subject_mask
 
 
-@lru_cache(maxsize=1)
-def _tables():
-    """Per-quantifier assignment bitsets.
-
-    rows[q][i] has bit j set when q holds of (mask i+1, mask j+1); cols is
-    the transpose. Both are 127-bit integers indexed by term value.
-    """
-    rows: dict[str, list[int]] = {}
-    cols: dict[str, list[int]] = {}
-    for q in QUANTIFIERS:
-        row_list = rows[q] = [0] * _TERM_MASKS
-        col_list = cols[q] = [0] * _TERM_MASKS
-        for i in range(_TERM_MASKS):
-            for j in range(_TERM_MASKS):
-                if _holds(q, i + 1, j + 1):
-                    row_list[i] |= 1 << j
-                    col_list[j] |= 1 << i
-    return rows, cols
-
-
 def _mask_to_cells(mask: int) -> frozenset[int]:
     return frozenset(c for c in range(CELL_COUNT) if mask >> c & 1)
-
-
-def _iter_bits(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 def evaluate_premiss(premiss: Premiss, model: EulerModel) -> bool:
@@ -143,56 +122,21 @@ def find_model(premisses: Iterable[Premiss]) -> EulerModel | None:
     """A joint model of premisses over the symbols a, b, m, or None.
 
     Every premiss must relate two distinct symbols from {a, b, m}. The
-    search walks assignments of m and intersects candidate bitsets for a
-    and b, so the worst case stays near 127 * 127 integer operations.
+    search tries the 127 patterns of inhabited regions in ascending order
+    and returns the first in which every mentioned term is non-empty and
+    every premiss holds.
     """
     premisses = tuple(premisses)
-    am, bm, ab = [], [], []
     for p in premisses:
-        if p.terms == {"a", "m"}:
-            am.append(p)
-        elif p.terms == {"b", "m"}:
-            bm.append(p)
-        elif p.terms == {"a", "b"}:
-            ab.append(p)
-        else:
+        if not p.terms <= _CIRCLES.keys() or len(p.terms) != 2:
             raise DomainError(f"premiss {p.as_text()} is not over two of a, b, m")
-    rows, cols = _tables()
-
-    def candidates(group: Sequence[Premiss], sym: str, fixed_index: int) -> int:
-        acc = _ASSIGNMENT_FULL
-        for p in group:
-            if p.subject == sym:
-                acc &= cols[p.quantifier][fixed_index]
-            else:
-                acc &= rows[p.quantifier][fixed_index]
-        return acc
-
-    def build(ai: int, bi: int, mi: int) -> EulerModel:
-        assignment = {}
-        for sym, idx in (("a", ai), ("b", bi), ("m", mi)):
-            if any(sym in p.terms for p in premisses):
-                assignment[sym] = _mask_to_cells(idx + 1)
-        return EulerModel(assignment)
-
-    for mi in range(_TERM_MASKS):
-        sa = candidates(am, "a", mi)
-        if not sa:
-            continue
-        sb = candidates(bm, "b", mi)
-        if not sb:
-            continue
-        if not ab:
-            return build(next(_iter_bits(sa)), next(_iter_bits(sb)), mi)
-        for ai in _iter_bits(sa):
-            matches = sb
-            for p in ab:
-                if p.subject == "a":
-                    matches &= rows[p.quantifier][ai]
-                else:
-                    matches &= cols[p.quantifier][ai]
-            if matches:
-                return build(ai, next(_iter_bits(matches)), mi)
+    mentioned = [t for t in _CIRCLES if any(t in p.terms for p in premisses)]
+    for inhabited in range(1, 1 << CELL_COUNT):
+        extent = {t: inhabited & _CIRCLES[t] for t in mentioned}
+        if all(extent.values()) and all(
+            _holds(p.quantifier, extent[p.subject], extent[p.predicate]) for p in premisses
+        ):
+            return EulerModel({t: _mask_to_cells(extent[t]) for t in mentioned})
     return None
 
 
@@ -308,7 +252,7 @@ def catalog_names() -> tuple[str, ...]:
 _COMPACT = re.compile(r"([AIEO])([a-z])([a-z])\Z")
 _ENGLISH = (
     (re.compile(r"all\s+(\w+)\s+(?:is|are)\s+(\w+)\Z", re.IGNORECASE), "A"),
-    (re.compile(r"some\s+(\w+)\s+is\s+not\s+(\w+)\Z", re.IGNORECASE), "O"),
+    (re.compile(r"some\s+(\w+)\s+(?:is|are)\s+not\s+(\w+)\Z", re.IGNORECASE), "O"),
     (re.compile(r"some\s+(\w+)\s+(?:is|are)\s+(\w+)\Z", re.IGNORECASE), "I"),
     (re.compile(r"no\s+(\w+)\s+(?:is|are)\s+(\w+)\Z", re.IGNORECASE), "E"),
 )
@@ -319,8 +263,8 @@ def parse_premiss(text: str) -> Premiss:
 
     Compact: a quantifier letter followed by two lowercase term letters,
     as in "Amb". English: "All s is p", "Some s is p", "No s is p" and
-    "Some s is not p", case-insensitive, with multi-letter term names
-    allowed.
+    "Some s is not p" (each also with "are"), case-insensitive, with
+    multi-letter term names allowed.
     """
     stripped = text.strip()
     if len(stripped) == 3 and not stripped[0].islower():

@@ -366,11 +366,18 @@ class TestMoods:
         assert code == 0
         assert out.startswith("valid")
 
+    def test_check_english_plural_negative(self, capsys):
+        code, out, _ = run(
+            capsys, "moods", "check", "Some m are not b & All m are a -> Some a are not b"
+        )
+        assert code == 0
+        assert out == "valid: Omb & Ama -> Oab\n"
+
     def test_check_invalid_prints_countermodel(self, capsys):
         code, out, _ = run(capsys, "moods", "check", "Abm & Aam -> Iab")
         assert code == 0
-        assert out.startswith("invalid")
-        assert "countermodel" in out
+        # cell c is the region of the terms whose bits (a=1, b=2, m=4) are set in c + 1
+        assert out == "invalid: Abm & Aam -> Iab\ncountermodel: a = {4}; b = {5}; m = {4,5}\n"
 
     def test_unknown_name_is_usage_error(self, capsys):
         code, _, err = run(capsys, "moods", "check", "Barbapapa")

@@ -1,6 +1,6 @@
-import pytest
+import itertools
 
-from mereovc import syllogistic
+import pytest
 
 from mereovc.errors import DomainError, PremissSyntaxError, UnknownMoodError
 from mereovc.syllogistic import (
@@ -39,6 +39,7 @@ class TestParsing:
             ("All men are mortal", ("A", "men", "mortal")),
             ("some cats are black", ("I", "cats", "black")),
             ("Some cats is not black", ("O", "cats", "black")),
+            ("Some cats are not black", ("O", "cats", "black")),
             ("No fish is fowl", ("E", "fish", "fowl")),
         ],
     )
@@ -169,8 +170,24 @@ class TestCatalog:
             assert is_valid_mood(lookup_mood(name)).valid, name
 
 
-def test_assignment_columns_are_the_bit_transpose_of_the_rows():
-    rows, cols = syllogistic._tables()
-    masks = range(syllogistic._TERM_MASKS)
-    for q in syllogistic.QUANTIFIERS:
-        assert cols[q] == [sum((rows[q][i] >> j & 1) << i for i in masks) for j in masks]
+_PREMISSES = [Premiss(q, s, p) for q in "AIEO" for s in "abm" for p in "abm" if s != p]
+_BITS = {"a": 1, "b": 2, "m": 4}
+
+
+def test_every_model_found_is_a_venn_pattern_satisfying_its_premisses():
+    """Over all sets of one to three premisses: a returned model satisfies
+    every premiss, gives every mentioned term a non-empty extent, and each
+    cell c it uses lies in exactly the mentioned terms whose bits are set
+    in c + 1."""
+    for k in (1, 2, 3):
+        for premisses in itertools.combinations(_PREMISSES, k):
+            model = find_model(premisses)
+            if model is None:
+                continue
+            mentioned = set().union(*(p.terms for p in premisses))
+            assert set(model.assignment) == mentioned
+            assert all(model.assignment.values())
+            assert all(evaluate_premiss(p, model) for p in premisses)
+            for cell in set().union(*model.assignment.values()):
+                holders = {t for t, cells in model.assignment.items() if cell in cells}
+                assert holders == {t for t in mentioned if cell + 1 & _BITS[t]}
