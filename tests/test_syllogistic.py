@@ -39,8 +39,8 @@ class TestParsing:
             ("All men are mortal", ("A", "men", "mortal")),
             ("some cats are black", ("I", "cats", "black")),
             ("Some cats is not black", ("O", "cats", "black")),
-            ("Some cats are not black", ("O", "cats", "black")),
             ("No fish is fowl", ("E", "fish", "fowl")),
+            ("Some cats are not black", ("O", "cats", "black")),
         ],
     )
     def test_english_forms(self, text, expected):
