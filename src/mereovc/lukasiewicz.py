@@ -58,7 +58,10 @@ def propagate(r, s, connective: Connective):
     subtraction are used. For NEGATION the second argument is ignored
     and may be None.
     """
-    c = Connective(connective)
+    try:
+        c = Connective(connective)
+    except ValueError:
+        raise DomainError(f"unknown connective {connective!r}") from None
     degree_in_unit_interval(r)
     if c is not Connective.NEGATION:
         degree_in_unit_interval(s)
@@ -68,9 +71,7 @@ def propagate(r, s, connective: Connective):
         return min(1, r + s)
     if c is Connective.PRODUCT:
         return min(r, s)
-    if c is Connective.STRONG_PRODUCT:
-        return max(0, r + s - 1)
-    if c is Connective.IMPLICATION:
+    if c in (Connective.STRONG_PRODUCT, Connective.IMPLICATION):
         return max(0, r + s - 1)
     return 1 - r
 
@@ -199,6 +200,6 @@ def formula_identities(grid_step: Fraction = Fraction(1, 64)):
 
 
 def degree_in_unit_interval(value) -> None:
-    """Reject degrees outside [0, 1]."""
-    if not 0 <= value <= 1:
+    """Reject degrees outside [0, 1], and a missing degree (None)."""
+    if value is None or not 0 <= value <= 1:
         raise DomainError(f"degree {value!r} outside [0, 1]")

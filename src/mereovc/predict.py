@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 from .tables import DecisionSystem, ObjectId, Value, ground_size, loo_ground_sizes
-from .vc import vc_count
+from .vc import _read_epsilon, vc_count
 
 # Not called here; imported only because perfbench/spans.py rebinds them to time them.
 from .tables import consistentize, is_consistent  # noqa: F401
@@ -48,10 +48,7 @@ class PredictionConfig:
         for field in fields(self):
             if isinstance(getattr(self, field.name), bool):
                 raise DomainError(f"{field.name} must not be a bool")
-        try:
-            object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        except (TypeError, ValueError, ArithmeticError):
-            raise DomainError(f"epsilon {self.epsilon!r} is not a rational number") from None
+        object.__setattr__(self, "epsilon", _read_epsilon(self.epsilon))
         if self.tie_strategy == "lowest":
             object.__setattr__(self, "tie_strategy", "lowest_object_id")
         if not 0 <= self.epsilon <= 1:
@@ -170,15 +167,19 @@ def _panel(
     sizes: list[int],
     forecasts: list[float],
     ground: int,
+    vc_of_size: dict[int, int],
     config: PredictionConfig,
     trial_index: int,
 ) -> TrialResult:
     """The agents' columns from their touching sizes: each VC and radius,
-    and the panel maximum VC*; vc_count and radius run once per distinct
-    size."""
-    vc_of_size = {t: vc_count(ground, t, config.epsilon, config.mode) for t in set(sizes)}
-    vc_star = max(vc_of_size.values())
-    radius_of_size = {t: radius(vc, vc_star, config.delta) for t, vc in vc_of_size.items()}
+    and the panel maximum VC*. vc_of_size, the caller's touching size -> VC
+    map on this ground size, gains only the sizes it lacks, so vc_count runs
+    once per (ground, size) per call; radius once per distinct size."""
+    present = set(sizes)
+    for t in present.difference(vc_of_size):
+        vc_of_size[t] = vc_count(ground, t, config.epsilon, config.mode)
+    vc_star = max(map(vc_of_size.__getitem__, present))
+    radius_of_size = {t: radius(vc_of_size[t], vc_star, config.delta) for t in present}
     return TrialResult(
         objects,
         sizes,
@@ -242,7 +243,7 @@ def run_trial(
     objects = system.objects
     sizes = _agreement_counts([system.rows[o] for o in objects], reference)
     forecasts = [system.decisions[o] for o in objects]
-    panel = _panel(objects, sizes, forecasts, ground_size(system), config, trial_index)
+    panel = _panel(objects, sizes, forecasts, ground_size(system), {}, config, trial_index)
     return _finish(panel, expert, config)
 
 
@@ -267,20 +268,21 @@ def leave_one_out(
     Trial i equals run_trial(system.without_object(o), system.row(o),
     system.decisions[o], config, i) for the i-th object o, but no rest table
     is built: each rest table's ground size comes from the full-feature
-    classes once per session, and each trial is one pass over the other
-    rows.
+    classes once per session, each trial is one pass over the other rows,
+    and each (ground, touching size) VC is computed once per session.
     """
     objects = system.objects
     if len(objects) < 2:
         raise DomainError("leave-one-out needs at least two objects")
     rows = [system.rows[o] for o in objects]
     decisions = [system.decisions[o] for o in objects]
+    vc_by_ground: dict[int, dict[int, int]] = {}
     trials = []
     for i, ground in enumerate(loo_ground_sizes(system)):
         sizes = _agreement_counts(rows[:i] + rows[i + 1:], rows[i])
         panel = _panel(
             objects[:i] + objects[i + 1:], sizes, decisions[:i] + decisions[i + 1:], ground,
-            config, i,
+            vc_by_ground.setdefault(ground, {}), config, i,
         )
         trials.append(_finish(panel, decisions[i], config))
     return trials

@@ -18,7 +18,6 @@ vc_count takes those sizes, and vc_of_object reads them off one row.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from .errors import DomainError
@@ -62,16 +61,26 @@ def _split_shattered(s1: int, s0: int, u: int, v: int, eps: Fraction, mode: str)
     )
 
 
-# Unbounded but small: a table with F features yields at most (F+2)^2 size
-# pairs per (epsilon, mode).
-@lru_cache(maxsize=None)
+def _read_epsilon(epsilon) -> Fraction:
+    """epsilon as the exact rational Fraction(epsilon); a bool, or a value
+    Fraction cannot read, is a DomainError."""
+    if isinstance(epsilon, bool):
+        raise DomainError("epsilon must not be a bool")
+    try:
+        return Fraction(epsilon)
+    except (TypeError, ValueError, ArithmeticError):
+        raise DomainError(f"epsilon {epsilon!r} is not a rational number") from None
+
+
 def vc_count(ground_size: int, touching_size: int, epsilon: Fraction, mode: str) -> int:
     """Largest size of a shattered subset of a ground set, from its sizes.
 
     Sets with the same number of touching and non-touching members behave
     identically, so the largest shattered split on the (touching+1) x
     (rest+1) grid is the VC dimension; the empty split always passes.
+    epsilon is read by _read_epsilon, as PredictionConfig reads it.
     """
+    epsilon = _read_epsilon(epsilon)
     if not (0 <= touching_size <= ground_size and 0 <= epsilon <= 1 and mode in _MODES):
         raise DomainError(f"need 0 <= touching <= ground, epsilon in [0, 1], mode in {_MODES}")
     rest_size = ground_size - touching_size
@@ -93,4 +102,4 @@ def vc_of_object(
     """VC dimension of the epsilon family of one row against omega, on the
     ground size that run_trial scores with."""
     touch = touching_set(system, o, omega)
-    return vc_count(ground_size(system), len(touch), Fraction(epsilon), mode)
+    return vc_count(ground_size(system), len(touch), epsilon, mode)

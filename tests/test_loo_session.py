@@ -30,6 +30,7 @@ from mereovc.tables import (
     load_decision_system,
     loo_ground_sizes,
 )
+from mereovc.vc import vc_count
 
 from test_count_path import EPSILONS, MODES
 
@@ -174,6 +175,32 @@ def test_session_builds_no_rest_table_trial_or_agent(monkeypatch):
     monkeypatch.setattr(DecisionSystem, "__post_init__", forbidden)
     monkeypatch.setattr(DecisionSystem, "without_object", forbidden)
     assert len(leave_one_out(system)) == len(system.objects)
+
+
+# Rows 0 and 1 agree on every feature but not on the decision: removing
+# either leaves a consistent table (ground 2), removing 2 or 3 keeps the
+# clash (ground 3), so one session meets both ground sizes.
+MIXED_GROUNDS = DecisionSystem.from_rows(
+    ("f1", "f2"), [("x", "a"), ("x", "a"), ("y", "b"), ("z", "b")], [1, 2, 3, 4]
+)
+
+
+def test_session_computes_each_vc_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return vc_count(*args)
+
+    monkeypatch.setattr(predict, "vc_count", counted)
+    grounds = loo_ground_sizes(MIXED_GROUNDS)
+    assert grounds == [2, 2, 3, 3]
+    trials = leave_one_out(MIXED_GROUNDS)
+    pairs = {(g, t) for g, trial in zip(grounds, trials) for t in trial.touching_sizes}
+    assert len(calls) == len(set(calls)) == len(pairs) == 4
+    # the memo lives in one call: the next session computes its VCs afresh
+    leave_one_out(MIXED_GROUNDS)
+    assert len(calls) == 8
 
 
 def test_session_needs_two_objects():

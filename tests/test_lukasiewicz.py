@@ -97,6 +97,18 @@ class TestPropagation:
         with pytest.raises(DomainError):
             propagate(0.5, -0.1, Connective.PRODUCT)
 
+    def test_unknown_connective_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="unknown connective"):
+            propagate(0.5, 0.5, "bogus")
+
+    def test_binary_connective_needs_a_second_degree(self):
+        for connective in Connective:
+            if connective is not Connective.NEGATION:
+                with pytest.raises(DomainError):
+                    propagate(0.5, None, connective)
+        with pytest.raises(DomainError):
+            propagate(0.5, None, "sum")
+
     @given(unit, unit)
     def test_sum_dominates_product(self, r, s):
         assert propagate(r, s, Connective.SUM) >= propagate(r, s, Connective.PRODUCT)

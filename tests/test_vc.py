@@ -7,7 +7,7 @@ import pytest
 from conftest import load_csv
 from mereovc.errors import DomainError, UndefinedDegreeError
 from mereovc.predict import PredictionConfig, run_trial
-from mereovc.vc import touching_set, vc_of_object
+from mereovc.vc import touching_set, vc_count, vc_of_object
 from oracle import (
     ComponentFamily,
     component_size_bound,
@@ -152,6 +152,15 @@ class TestVcDimension:
             fam = family(ground, touch, eps, mode)
             assert vc_dimension(fam) == vc_dimension_bruteforce(fam), (
                 ground, touch, eps, mode)
+
+    def test_vc_count_reads_epsilon_as_predictionconfig_does(self):
+        half = vc_count(10, 3, Fraction(1, 2), "exact")
+        assert vc_count(10, 3, 0.5, "exact") == vc_count(10, 3, "1/2", "exact") == half
+        for bad in (True, "x", float("nan")):
+            with pytest.raises(DomainError):
+                vc_count(10, 3, bad, "exact")
+            with pytest.raises(DomainError):
+                PredictionConfig(epsilon=bad)
 
     def test_size_bound_caps_members_and_vc(self):
         fam = family("abcdef", "ab", Fraction(1, 2))
