@@ -93,8 +93,11 @@ class TNormCheck:
 
 
 def grid_points(grid_step: Fraction) -> list[Real]:
-    step = Fraction(grid_step)
-    if step <= 0 or (1 / step).denominator != 1:
+    try:
+        step = Fraction(grid_step)
+    except (TypeError, ValueError, ArithmeticError):
+        step = 0
+    if isinstance(grid_step, bool) or step <= 0 or (1 / step).denominator != 1:
         raise UsageError("grid_step must be a positive rational dividing 1")
     n = int(1 / step)
     return [float(Fraction(k, n)) for k in range(n + 1)]
@@ -200,6 +203,11 @@ def formula_identities(grid_step: Fraction = Fraction(1, 64)):
 
 
 def degree_in_unit_interval(value) -> None:
-    """Reject degrees outside [0, 1], and a missing degree (None)."""
-    if value is None or not 0 <= value <= 1:
+    """Reject degrees outside [0, 1]: also a missing degree (None), a bool,
+    and a value that cannot be compared with 0 and 1."""
+    try:
+        ok = not isinstance(value, bool) and 0 <= value <= 1
+    except (TypeError, ValueError, ArithmeticError):
+        ok = False
+    if not ok:
         raise DomainError(f"degree {value!r} outside [0, 1]")

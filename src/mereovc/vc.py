@@ -10,9 +10,10 @@ A set S is shattered when every non-empty trace T of S is cut out by some
 member C, i.e. C & S == T. A witness for T is T plus some touching and
 some other descriptors from outside S, so whether S is shattered depends
 only on how many touching and other descriptors lie inside and outside
-it (_split_shattered). The VC dimension, the largest size of a shattered
-set, therefore depends only on the sizes of the ground and touching sets:
-vc_count takes those sizes, and vc_of_object reads them off one row.
+it. The VC dimension, the largest size of a shattered set, therefore
+depends only on the sizes of the ground and touching sets: vc_count
+takes those sizes, and vc_of_object reads them off one row. The tests
+check vc_count against the whole grid of splits (tests/oracle.py).
 """
 
 from __future__ import annotations
@@ -33,34 +34,6 @@ def touching_set(system: DecisionSystem, o: ObjectId, omega: Mapping[str, Value]
     return frozenset(system.row(o).items() & omega.items())
 
 
-def _split_shattered(s1: int, s0: int, u: int, v: int, eps: Fraction, mode: str) -> bool:
-    """Whether a set with s1 touching and s0 other members is shattered.
-
-    u touching and v other descriptors lie outside the set, and
-    eps = p/(p+q) in lowest terms. The trace with a1 touching and a0 other
-    members needs a witness that adds x1 <= u touching and x0 <= v other
-    descriptors. at_least: q*(a1+x1) >= p*(a0+x0) is easiest with x1 = u,
-    x0 = 0 and hardest for the trace (0, s0). exact, eps 0 or 1: a witness
-    holds only other or only touching descriptors. exact, p, q >= 1: a
-    witness holds p*m touching and q*m other descriptors, so m lies in both
-    ceil(a1/p)..(a1+u)//p and ceil(a0/q)..(a0+v)//q. The traces (1, 0)
-    and (s1, 0) force u >= p-1 and ceil(s1/p) <= v//q; then for every a1,
-    ceil(a1/p) lies in its own range and at or below the other's top, and
-    the same holds for a0, so every trace finds its m.
-    """
-    p = eps.numerator
-    q = eps.denominator - p
-    if mode == "at_least":
-        return s0 == 0 or u * q >= p * s0
-    if p == 0:
-        return s1 == 0
-    if q == 0:
-        return s0 == 0
-    return (s1 == 0 or (u >= p - 1 and -(-s1 // p) <= v // q)) and (
-        s0 == 0 or (v >= q - 1 and -(-s0 // q) <= u // p)
-    )
-
-
 def _read_epsilon(epsilon) -> Fraction:
     """epsilon as the exact rational Fraction(epsilon); a bool, or a value
     Fraction cannot read, is a DomainError."""
@@ -75,20 +48,35 @@ def _read_epsilon(epsilon) -> Fraction:
 def vc_count(ground_size: int, touching_size: int, epsilon: Fraction, mode: str) -> int:
     """Largest size of a shattered subset of a ground set, from its sizes.
 
-    Sets with the same number of touching and non-touching members behave
-    identically, so the largest shattered split on the (touching+1) x
-    (rest+1) grid is the VC dimension; the empty split always passes.
-    epsilon is read by _read_epsilon, as PredictionConfig reads it.
+    Take t touching and r other descriptors, eps = p/(p+q) in lowest terms
+    and a set with s1 touching and s0 other members. A trace's witness adds
+    at most t-s1 touching and r-s0 other descriptors from outside the set.
+    at_least: the trace (0, s0) is the hardest, and its best witness adds
+    only touching ones, so s0 <= (t-s1)*q//p. exact, eps 0 or 1: a witness,
+    and so the set, holds only other or only touching descriptors. exact,
+    p, q >= 1: a witness holds p*m touching and q*m other descriptors; the
+    traces (1, 0) and (s1, 0) need t-s1 >= p-1 and q*ceil(s1/p) <= r-s0,
+    (0, 1) and (0, s0) need r-s0 >= q-1 and s0 <= q*((t-s1)//p), and then
+    every trace finds its m. Each clause bounds s0 from above, so the VC
+    dimension is the best s1 plus its largest s0, one pass over s1 (the
+    empty set always passes). Sizes must be ints; epsilon is read by
+    _read_epsilon, as PredictionConfig reads it.
     """
     epsilon = _read_epsilon(epsilon)
-    if not (0 <= touching_size <= ground_size and 0 <= epsilon <= 1 and mode in _MODES):
+    ints = all(isinstance(n, int) and not isinstance(n, bool) for n in (ground_size, touching_size))
+    if not (ints and 0 <= touching_size <= ground_size and 0 <= epsilon <= 1 and mode in _MODES):
         raise DomainError(f"need 0 <= touching <= ground, epsilon in [0, 1], mode in {_MODES}")
-    rest_size = ground_size - touching_size
+    t, r = touching_size, ground_size - touching_size
+    p = epsilon.numerator
+    q = epsilon.denominator - p
+    if mode == "at_least":
+        return t + r if p == 0 else max(s1 + min(r, (t - s1) * q // p) for s1 in range(t + 1))
+    if p == 0 or q == 0:
+        return r if p == 0 else t
     return max(
-        s1 + s0
-        for s1 in range(touching_size + 1)
-        for s0 in range(rest_size + 1)
-        if _split_shattered(s1, s0, touching_size - s1, rest_size - s0, epsilon, mode)
+        s1 + max(0, min(r - q + 1, q * ((t - s1) // p), r - q * -(-s1 // p)))
+        for s1 in range(t + 1)
+        if s1 == 0 or (s1 <= t - p + 1 and r >= q * -(-s1 // p))
     )
 
 

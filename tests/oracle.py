@@ -10,9 +10,11 @@ comparison is ever approximate.
 
 A set S of descriptors is shattered when every non-empty trace T of S is
 cut out by some family member C, i.e. C & S == T. The brute-force
-checkers here decide that by enumerating every member; mereovc.vc decides
-it from set sizes alone, and vc_dimension is that count route applied to
-a family.
+checkers here decide that by enumerating every member; split_shattered
+decides it from the numbers of touching and other members inside and
+outside S, and vc_count_grid takes the largest shattered split. mereovc.vc
+reads the same number off in one pass, and vc_dimension is that count
+route applied to a family.
 """
 
 from __future__ import annotations
@@ -91,6 +93,47 @@ def epsilon_components(family: ComponentFamily) -> list[GroundSet]:
 def vc_dimension(family: ComponentFamily) -> int:
     """Largest size of a shattered subset of the ground set, by the count route."""
     return vc_count(len(family.ground), len(family.touching), family.epsilon, family.mode)
+
+
+def split_shattered(s1: int, s0: int, u: int, v: int, eps: Fraction, mode: str) -> bool:
+    """Whether a set with s1 touching and s0 other members is shattered.
+
+    u touching and v other descriptors lie outside the set, and
+    eps = p/(p+q) in lowest terms. The trace with a1 touching and a0 other
+    members needs a witness that adds x1 <= u touching and x0 <= v other
+    descriptors. at_least: q*(a1+x1) >= p*(a0+x0) is easiest with x1 = u,
+    x0 = 0 and hardest for the trace (0, s0). exact, eps 0 or 1: a witness
+    holds only other or only touching descriptors. exact, p, q >= 1: a
+    witness holds p*m touching and q*m other descriptors, so m lies in both
+    ceil(a1/p)..(a1+u)//p and ceil(a0/q)..(a0+v)//q. The traces (1, 0)
+    and (s1, 0) force u >= p-1 and ceil(s1/p) <= v//q; then for every a1,
+    ceil(a1/p) lies in its own range and at or below the other's top, and
+    the same holds for a0, so every trace finds its m.
+    """
+    p = eps.numerator
+    q = eps.denominator - p
+    if mode == "at_least":
+        return s0 == 0 or u * q >= p * s0
+    if p == 0:
+        return s1 == 0
+    if q == 0:
+        return s0 == 0
+    return (s1 == 0 or (u >= p - 1 and -(-s1 // p) <= v // q)) and (
+        s0 == 0 or (v >= q - 1 and -(-s0 // q) <= u // p)
+    )
+
+
+def vc_count_grid(ground_size: int, touching_size: int, epsilon, mode: str) -> int:
+    """Reference VC dimension from sizes: the largest split on the whole
+    (touching+1) x (rest+1) grid that split_shattered passes."""
+    epsilon = Fraction(epsilon)
+    rest_size = ground_size - touching_size
+    return max(
+        s1 + s0
+        for s1 in range(touching_size + 1)
+        for s0 in range(rest_size + 1)
+        if split_shattered(s1, s0, touching_size - s1, rest_size - s0, epsilon, mode)
+    )
 
 
 def shatters_bruteforce(family: ComponentFamily, s: GroundSet) -> bool:

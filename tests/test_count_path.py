@@ -5,20 +5,30 @@ omega and its VC dimension from vc_count, with ground size F+1 for an
 inconsistent table. The old route repaired such a table with a decision
 copy column, gave omega a value there that no row holds, and took VC from
 explicit descriptor sets. These tests run the old route with the
-brute-force oracle and require the same numbers, and check the
-closed-form shattering test behind vc_count set by set against the
-brute-force shattering check.
+brute-force oracle and require the same numbers. vc_count reads the VC
+dimension off one pass over the number of touching members; the tests
+hold it against the largest shattered split of the whole grid
+(oracle.vc_count_grid), and check the closed-form split test behind that
+grid set by set against the brute-force shattering check.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mereovc.predict import PredictionConfig, run_trial
 from mereovc.tables import DecisionSystem, consistentize, is_consistent
-from mereovc.vc import _split_shattered, touching_set, vc_count, vc_of_object
-from oracle import ComponentFamily, extended, shatters_bruteforce, vc_dimension_bruteforce
+from mereovc.vc import touching_set, vc_count, vc_of_object
+from oracle import (
+    ComponentFamily,
+    extended,
+    shatters_bruteforce,
+    split_shattered,
+    vc_count_grid,
+    vc_dimension_bruteforce,
+)
 
 EPSILONS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
 MODES = ["exact", "at_least"]
@@ -126,10 +136,42 @@ def test_split_test_matches_shatters(mode):
                         if s1 == s0 == 0:
                             continue
                         s = frozenset(touching[:s1] + rest[:s0])
-                        got = _split_shattered(
+                        got = split_shattered(
                             s1, s0, touching_size - s1, len(rest) - s0, epsilon, mode
                         )
                         assert got == shatters_bruteforce(family, s), (
                             ground_size, touching_size, s1, s0, epsilon)
                         checked += 1
     assert checked == 4050
+
+
+# the Farey fractions of order 8: every epsilon in [0, 1] with denominator <= 8
+FAREY_8 = sorted({Fraction(p, q) for q in range(1, 9) for p in range(q + 1)})
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_vc_count_matches_the_grid_on_every_small_key(mode):
+    assert len(FAREY_8) == 23
+    checked = 0
+    for epsilon in FAREY_8:
+        for ground_size in range(41):
+            for touching_size in range(ground_size + 1):
+                assert vc_count(ground_size, touching_size, epsilon, mode) == (
+                    vc_count_grid(ground_size, touching_size, epsilon, mode)
+                ), (ground_size, touching_size, epsilon)
+                checked += 1
+    assert checked == 19803
+
+
+@st.composite
+def vc_keys(draw):
+    ground_size = draw(st.integers(0, 200))
+    touching_size = draw(st.integers(0, ground_size))
+    denominator = draw(st.integers(1, 60))
+    epsilon = Fraction(draw(st.integers(0, denominator)), denominator)
+    return ground_size, touching_size, epsilon, draw(st.sampled_from(MODES))
+
+
+@given(vc_keys())
+def test_vc_count_matches_the_grid_on_wide_keys(key):
+    assert vc_count(*key) == vc_count_grid(*key)

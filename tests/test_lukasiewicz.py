@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,14 @@ class TestContractCheck:
             grid_points(Fraction(3, 7))
         assert grid_points(Fraction(1, 4)) == [0.0, 0.25, 0.5, 0.75, 1.0]
 
+    def test_unreadable_grid_step_is_a_usage_error(self):
+        for bad in ("x", None, True, float("nan"), float("inf")):
+            with pytest.raises(UsageError):
+                grid_points(bad)
+            with pytest.raises(UsageError):
+                check_t_norm(min, grid_step=bad)
+        assert grid_points("1/2") == grid_points(0.5) == [0.0, 0.5, 1.0]
+
 
 class TestPropagation:
     def test_rule_table(self):
@@ -108,6 +117,16 @@ class TestPropagation:
                     propagate(0.5, None, connective)
         with pytest.raises(DomainError):
             propagate(0.5, None, "sum")
+
+    def test_degrees_must_be_numbers_in_the_unit_interval(self):
+        for bad in ("0.5", [1], True, False, 1j, float("nan"), Decimal("NaN")):
+            with pytest.raises(DomainError):
+                propagate(bad, 0.5, "sum")
+            with pytest.raises(DomainError):
+                propagate(0.5, bad, "sum")
+        assert propagate(Decimal("0.25"), Fraction(1, 2), "sum") == Fraction(1, 2)
+        assert propagate(Decimal("0.75"), None, "negation") == Decimal("0.25")
+        assert propagate(0.25, 0.5, "product") == 0.25
 
     @given(unit, unit)
     def test_sum_dominates_product(self, r, s):

@@ -162,6 +162,12 @@ class TestVcDimension:
             with pytest.raises(DomainError):
                 PredictionConfig(epsilon=bad)
 
+    def test_vc_count_takes_int_sizes_only(self):
+        for ground_size, touching_size in ((True, True), (10.5, 3), (10, 3.0), (2, False)):
+            with pytest.raises(DomainError):
+                vc_count(ground_size, touching_size, 1, "exact")
+        assert vc_count(1, 1, 1, "exact") == 1
+
     def test_size_bound_caps_members_and_vc(self):
         fam = family("abcdef", "ab", Fraction(1, 2))
         bound = component_size_bound(fam)
