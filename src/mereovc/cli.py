@@ -226,43 +226,56 @@ class Columns(NamedTuple):
     """Records held as columns: record i maps keys[j] to columns[j][i].
 
     Each column holds only ints or only floats, so the report writer can
-    fill every record of the list from one template.
+    write every record from texts it formats once per distinct value.
     """
 
     keys: tuple[str, ...]
     columns: tuple[Sequence, ...]
 
 
-def _dumps(report) -> str:
-    """The report as strict JSON; a non-finite number is a domain error.
+class _Texts(dict):
+    """template % values for each key, formatted once and kept, except a
+    float zero: 0.0 and -0.0 are one key but two texts. An int run is keyed
+    by its tuple and a float by itself, so the two kinds never share a key."""
 
-    The text is byte for byte json.dumps(report, indent=2, allow_nan=False),
-    with a Columns value written as its list of records. Each container of
-    scalars is one call of the C encoder, with the newline and indent of
-    its depth as the member separator; each Columns is one %-format of a
-    record template, since json writes an int or a finite float as its
-    repr. Only containers that hold containers are laid out in Python.
-    """
-    encoders = {}
+    def __init__(self, template: str):
+        self.template = template
 
-    def encode(obj, pad: str) -> str:
+    def __missing__(self, values):
+        text = self.template % values
+        if values != 0:
+            self[values] = text
+        return text
+
+
+class _Writer:
+    """The pieces of a report's JSON text, appended to out (see _dumps).
+    Nothing refers back to the writer, so no cycle keeps its state alive."""
+
+    def __init__(self):
+        self.out: list[str] = []
+        self.encoders = {}
+        self.texts: dict[str, _Texts] = {}
+
+    def encode(self, obj, pad: str) -> str:
         # obj by the C encoder, members separated by a newline and pad
-        if pad not in encoders:
-            encoders[pad] = json.JSONEncoder(
+        if pad not in self.encoders:
+            self.encoders[pad] = json.JSONEncoder(
                 allow_nan=False, separators=(",\n" + pad, ": ")
             ).encode
-        return encoders[pad](obj)
+        return self.encoders[pad](obj)
 
-    def key(name, pad: str) -> str:
+    def key(self, name, pad: str) -> str:
         if isinstance(name, str):
-            return encode(name, pad)
+            return self.encode(name, pad)
         # json writes a non-string key as a string; let the C encoder say how
-        return encode({name: None}, pad)[1:-len(": null}")]
+        return self.encode({name: None}, pad)[1:-len(": null}")]
 
-    def records(table: Columns, pad: str) -> str:
-        rows = len(table.columns[0])
-        if not rows:
-            return "[]"
+    def records(self, table: Columns, pad: str) -> None:
+        if not len(table.columns[0]):
+            return self.out.append("[]")
+        inner, deep = pad + "  ", pad + "    "
+        runs = []  # [is_float, template, columns]: one text source each
         for name, column in zip(table.keys, table.columns):
             kinds = set(map(type, column))
             if kinds == {float}:
@@ -274,38 +287,58 @@ def _dumps(report) -> str:
                     f"report column {name!r} holds {sorted(k.__name__ for k in kinds)}, "
                     "not only int or only float"
                 )
-        inner = pad + "  "
-        deep = inner + "  "
-        fields = (",\n" + deep).join(
-            f"{key(k, deep).replace('%', '%%')}: %r" for k in table.keys
-        )
-        record = f"{{\n{deep}{fields}\n{inner}}}"
-        body = (",\n" + inner).join(repeat(record, rows))
-        cells = tuple(chain.from_iterable(zip(*table.columns)))
-        return f"[\n{inner}{body % cells}\n{pad}]"
+            field = f"{',' if runs else '{'}\n{deep}{self.key(name, deep).replace('%', '%%')}: %r"
+            if kinds == {float} or not runs or runs[-1][0]:
+                runs.append([kinds == {float}, field, [column]])
+            else:
+                runs[-1][1] += field
+                runs[-1][2].append(column)
+        runs[-1][1] += f"\n{inner}}}"
+        sources = [
+            map(self.texts.setdefault(t, _Texts(t)).__getitem__, cs[0] if is_float else zip(*cs))
+            for is_float, t, cs in runs
+        ]
+        leads = chain((f"[\n{inner}",), repeat(f",\n{inner}"))
+        self.out.extend(chain.from_iterable(zip(leads, *sources)))
+        self.out.append(f"\n{pad}]")
 
-    def write(obj, pad: str) -> str:
+    def write(self, obj, pad: str) -> None:
         if isinstance(obj, Columns):
-            return records(obj, pad)
+            return self.records(obj, pad)
         if not isinstance(obj, _CONTAINERS) or not obj:
-            return encode(obj, pad)
+            return self.out.append(self.encode(obj, pad))
         inner = pad + "  "
         is_dict = isinstance(obj, dict)
-        if _is_flat(obj.values() if is_dict else obj):
-            body = encode(obj, inner)[1:-1]
-        elif is_dict:
-            body = (",\n" + inner).join(
-                f"{key(k, inner)}: {write(v, inner)}" for k, v in obj.items()
-            )
-        else:
-            body = (",\n" + inner).join(write(m, inner) for m in obj)
         opening, closing = "{}" if is_dict else "[]"
-        return f"{opening}\n{inner}{body}\n{pad}{closing}"
+        if _is_flat(obj.values() if is_dict else obj):
+            body = self.encode(obj, inner)[1:-1]
+            return self.out.append(f"{opening}\n{inner}{body}\n{pad}{closing}")
+        lead = f"{opening}\n{inner}"
+        for name, member in obj.items() if is_dict else zip(repeat(None), obj):
+            self.out.append(f"{lead}{self.key(name, inner)}: " if is_dict else lead)
+            self.write(member, inner)
+            lead = f",\n{inner}"
+        self.out.append(f"\n{pad}{closing}")
 
+
+def _dumps(report) -> str:
+    """The report as strict JSON; a non-finite number is a domain error.
+
+    The text is byte for byte json.dumps(report, indent=2, allow_nan=False),
+    with a Columns value written as its list of records. Each container of
+    scalars is one call of the C encoder, with the newline and indent of
+    its depth as the member separator. A record is cut at each float column
+    and each maximal run of int columns; each piece's text is formatted by
+    %r once per call, since json writes an int or a finite float as its
+    repr, and serves every record and trial that repeats its values. The
+    pieces are joined once.
+    """
+    writer = _Writer()
     try:
-        return write(report, "")
+        writer.write(report, "")
     except ValueError:
         raise DomainError(f"{_NON_FINITE}, so it is not valid JSON") from None
+    return "".join(writer.out)
 
 
 def _csv_text(header: Sequence[str], rows) -> str:

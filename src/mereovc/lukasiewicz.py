@@ -93,8 +93,9 @@ class TNormCheck:
 
 
 def grid_points(grid_step: Fraction) -> list[Real]:
+    # a float step is read as its shortest repr, so 0.1 means 1/10
     try:
-        step = Fraction(grid_step)
+        step = Fraction(repr(grid_step) if isinstance(grid_step, float) else grid_step)
     except (TypeError, ValueError, ArithmeticError):
         step = 0
     if isinstance(grid_step, bool) or step <= 0 or (1 / step).denominator != 1:

@@ -13,13 +13,14 @@ weighted prediction averages all forecasts with VC weights.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import compress, repeat
 from numbers import Real
-from operator import eq, itemgetter, mul
+from operator import eq, itemgetter, le, mul, sub
 from statistics import fmean
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 from .tables import DecisionSystem, ObjectId, Value, ground_size, loo_ground_sizes
@@ -30,6 +31,8 @@ from .tables import consistentize, is_consistent  # noqa: F401
 from .vc import touching_set, vc_of_object  # noqa: F401
 
 _TIE_STRATEGIES = ("random", "lowest_object_id")
+# (bytes, memoryview format) of the byte lanes _lane_counts counts in
+_LANES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ def reward(center: float, r: float, expert: float) -> int:
 
 def _tie_rng(seed: int, trial_index: int, candidate_ids: Sequence[ObjectId]) -> random.Random:
     # string-keyed so the stream is stable across platforms and runs
-    key = f"{seed}:{trial_index}:{','.join(str(i) for i in sorted(candidate_ids))}"
+    key = f"{seed}:{trial_index}:{','.join(map(str, sorted(candidate_ids)))}"
     return random.Random(key)
 
 
@@ -123,8 +126,8 @@ def _pick_winner(
     """
     if not rewarded:
         return None
-    best_loss = min(loss for _, loss, _ in rewarded)
-    tied = sorted((c for c in rewarded if c[1] == best_loss), key=itemgetter(0))
+    best_loss = min(map(itemgetter(1), rewarded))
+    tied = sorted([c for c in rewarded if c[1] == best_loss], key=itemgetter(0))
     if len(tied) == 1 or config.tie_strategy == "lowest_object_id":
         pick = tied[0]
     else:
@@ -158,7 +161,8 @@ def max_rewarded_loss(trial: TrialResult) -> Optional[float]:
 
 
 def _agreement_counts(rows: Sequence[tuple], reference: tuple) -> list[int]:
-    """Each row's touching size: how many of its cells equal the reference's."""
+    """Each row's touching size: how many of its cells equal the reference's.
+    run_trial counts this way; _lane_counts reads a session's off byte lanes."""
     return [sum(map(eq, row, reference)) for row in rows]
 
 
@@ -201,8 +205,9 @@ def _finish(panel: TrialResult, expert: Optional[float], config: PredictionConfi
     weighted, degenerate = _weighted(panel.forecasts, panel.vcs)
     if expert is None:
         return panel._replace(weighted=weighted, weights_degenerate=degenerate)
-    rewards = list(map(reward, panel.forecasts, panel.radii, repeat(expert)))
-    losses = [abs(expert - f) for f in panel.forecasts]
+    # reward() per agent, as maps: the loss and whether it is within the radius
+    losses = list(map(abs, map(sub, repeat(expert), panel.forecasts)))
+    rewards = list(map(int, map(le, losses, panel.radii)))
     rewarded = list(compress(zip(panel.objects, losses, panel.forecasts), rewards))
     return panel._replace(
         weighted=weighted,
@@ -258,6 +263,35 @@ def score_trial(
     return _finish(trial, expert, config)
 
 
+def _lane_counts(rows: Sequence[tuple]) -> Iterator[list[int]]:
+    """_agreement_counts(rows[:i] + rows[i + 1:], rows[i]) for each i in turn.
+
+    For each feature f and each of its values v, masks[f][v] is an int whose
+    byte lane j holds eq(rows[j][f], v). A lane holds the feature count, so
+    the sum of row i's masks never carries from one lane into the next, and
+    its lane j is row j's agreement count with row i (H. S. Warren,
+    Hacker's Delight, 2nd ed., 2012, ch. 5).
+    """
+    n = len(rows)
+    features = max(map(len, rows), default=0)
+    width, code = next((w, c) for w, c in _LANES if features < 256 ** w)
+    # lanes in native byte order, so that memoryview.cast reads them off
+    low = (width - 1) * (sys.byteorder == "big")
+    lanes = bytearray(n * width)
+    masks = []
+    for column in zip(*rows):
+        mask = {}
+        for v in set(column):
+            lanes[low::width] = bytes(map(eq, column, repeat(v)))
+            mask[v] = int.from_bytes(lanes, sys.byteorder)
+        masks.append(mask)
+    for i, row in enumerate(rows):
+        total = sum(map(dict.__getitem__, masks, row))
+        sizes = memoryview(total.to_bytes(n * width, sys.byteorder)).cast(code).tolist()
+        del sizes[i]
+        yield sizes
+
+
 def leave_one_out(
     system: DecisionSystem, config: PredictionConfig = PredictionConfig()
 ) -> list[TrialResult]:
@@ -268,8 +302,9 @@ def leave_one_out(
     Trial i equals run_trial(system.without_object(o), system.row(o),
     system.decisions[o], config, i) for the i-th object o, but no rest table
     is built: each rest table's ground size comes from the full-feature
-    classes once per session, each trial is one pass over the other rows,
-    and each (ground, touching size) VC is computed once per session.
+    classes once per session, the touching sizes from byte-lane masks built
+    once per session (_lane_counts), and each (ground, touching size) VC is
+    computed once per session.
     """
     objects = system.objects
     if len(objects) < 2:
@@ -278,12 +313,10 @@ def leave_one_out(
     decisions = [system.decisions[o] for o in objects]
     vc_by_ground: dict[int, dict[int, int]] = {}
     trials = []
-    for i, ground in enumerate(loo_ground_sizes(system)):
-        sizes = _agreement_counts(rows[:i] + rows[i + 1:], rows[i])
+    for i, (ground, sizes) in enumerate(zip(loo_ground_sizes(system), _lane_counts(rows))):
         panel = _panel(
             objects[:i] + objects[i + 1:], sizes, decisions[:i] + decisions[i + 1:], ground,
             vc_by_ground.setdefault(ground, {}), config, i,
         )
         trials.append(_finish(panel, decisions[i], config))
     return trials
-

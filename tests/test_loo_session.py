@@ -203,6 +203,38 @@ def test_session_computes_each_vc_once(monkeypatch):
     assert len(calls) == 8
 
 
+def wide_table():
+    """256 features, so the session counts in two-byte lanes: rows that
+    differ from one base row in a few cells, agreeing on up to 256 features,
+    and a copied row with another decision, so that some rest tables are
+    inconsistent (ground 257)."""
+    rng = random.Random(256)
+    base = [rng.choice("ab") for _ in range(256)]
+    rows = []
+    for flips in (0, 1, 2, 5, 40, 255):
+        row = list(base)
+        for j in rng.sample(range(256), flips):
+            row[j] = "c"
+        rows.append(tuple(row))
+    rows.append(rows[1])
+    return DecisionSystem.from_rows(
+        tuple(f"f{j}" for j in range(256)), rows, [1.5, 2, 0.25, 3, 3, 7, 4]
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("epsilon", [Fraction(1, 2), Fraction(1)], ids=str)
+def test_session_matches_run_trial_on_a_256_feature_table(epsilon, mode):
+    system = wide_table()
+    assert {256, 257} <= set(loo_ground_sizes(system))
+    config = PredictionConfig(epsilon=epsilon, delta=3, mode=mode)
+    session = leave_one_out(system, config)
+    trials, ledger = oracle(system, config)
+    assert max(max(t.touching_sizes) for t in trials) == 256
+    assert repr(session) == repr(trials)
+    assert count_mistakes(session) == ledger
+
+
 def test_session_needs_two_objects():
     with pytest.raises(DomainError, match="at least two objects"):
         leave_one_out(DecisionSystem.from_rows(("x",), [("a",)], [1.0]))

@@ -84,6 +84,18 @@ class TestContractCheck:
                 check_t_norm(min, grid_step=bad)
         assert grid_points("1/2") == grid_points(0.5) == [0.0, 0.5, 1.0]
 
+    def test_float_grid_step_is_read_as_its_shortest_repr(self):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, which divides nothing
+        assert grid_points(0.1) == grid_points("1/10") == [k / 10 for k in range(11)]
+        assert grid_points(1e-2) == grid_points(Fraction(1, 100))
+        assert check_t_norm(min, grid_step=0.1).ok
+        assert not check_t_norm(max, grid_step=0.1).ok
+        for bad in (0.3, 2.5, -0.1, 0.0, Fraction(3, 7)):
+            with pytest.raises(UsageError):
+                grid_points(bad)
+            with pytest.raises(UsageError):
+                check_t_norm(min, grid_step=bad)
+
 
 class TestPropagation:
     def test_rule_table(self):

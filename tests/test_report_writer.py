@@ -1,5 +1,6 @@
 """The report writer against the stdlib's indented encoder."""
 
+import gc
 import json
 import math
 
@@ -150,3 +151,104 @@ def test_cell_that_is_not_an_int_or_a_float_is_refused(bad):
 def test_column_mixing_ints_and_floats_is_refused():
     with pytest.raises(TypeError, match="loss"):
         _dumps(Columns(("loss",), ((1, 1.5),)))
+
+
+# Texts are cached per _dumps call and shared by every Columns record that
+# has the same keys at the same depth, so a cache bug shows only across
+# records: a signed zero written as the other sign, an int written as a
+# float under the same template, a % in a key.
+RUN_LAYOUTS = ["iiff", "fiif", "ifii", "fif", "iii", "fff", "ifif", "i", "f"]
+REPEATED_INTS = st.one_of(st.sampled_from([0, 1, -1, 2**53 + 1]), st.integers())
+REPEATED_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e16, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def shared_key_tables(draw):
+    """One to four Columns with the same keys; a table may change the kind
+    of any column, so one key is an int in one table and a float in the next."""
+    keys = tuple(draw(column_keys))
+    kinds = [draw(st.sampled_from("if")) for _ in keys]
+    tables = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            kinds = [draw(st.sampled_from("if")) for _ in keys]
+        rows = draw(st.integers(0, 5))
+        columns = tuple(
+            tuple(draw(st.lists(REPEATED_INTS if kind == "i" else REPEATED_FLOATS,
+                                min_size=rows, max_size=rows)))
+            for kind in kinds
+        )
+        tables.append(Columns(keys, columns))
+    return tables
+
+
+def trials_report(tables):
+    return [{"trial": i, "per_object": table} for i, table in enumerate(tables)]
+
+
+def trials_reference(tables):
+    return reference([{"trial": i, "per_object": as_dicts(t)} for i, t in enumerate(tables)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_key_tables())
+def test_tables_sharing_keys_match_json_dumps(tables):
+    assert _dumps(trials_report(tables)) == trials_reference(tables)
+    assert _dumps(tables) == reference([as_dicts(t) for t in tables])
+
+
+@pytest.mark.parametrize("layout", RUN_LAYOUTS)
+def test_every_run_layout_matches_across_tables(layout):
+    keys = ("id", "%", "%r", "a%%b", "loss", "x", "%(y)s")[:len(layout)]
+    ints = [(0, 1, 2), (1, 2, 0), (0, 1, 2)]
+    floats = [(0.0, -0.0, 0.5), (-0.0, 0.0, 0.0), (0.5, -0.0, 1e16)]
+    tables = [
+        Columns(keys, tuple((ints if kind == "i" else floats)[(t + j) % 3]
+                            for j, kind in enumerate(layout)))
+        for t in range(3)
+    ]
+    assert _dumps(trials_report(tables)) == trials_reference(tables)
+
+
+def test_signed_zeros_keep_their_sign_in_one_column_and_across_tables():
+    tables = [
+        Columns(("loss",), ((0.0, -0.0, 0.0, -0.0),)),
+        Columns(("loss",), ((-0.0,),)),
+        Columns(("loss",), ((0.0,),)),
+    ]
+    text = _dumps(trials_report(tables))
+    assert text == trials_reference(tables)
+    assert text.count('"loss": -0.0') == 3
+    assert text.count('"loss": 0.0') == 3
+
+
+def test_one_key_as_int_then_float_keeps_each_repr():
+    tables = [Columns(("x",), ((1, 0),)), Columns(("x",), ((1.0, 0.0),)), Columns(("x",), ((1,),))]
+    assert _dumps(trials_report(tables)) == trials_reference(tables)
+
+
+def test_writer_leaves_nothing_for_the_cyclic_gc():
+    report = {
+        "config": {"epsilon": "1", "delta": 3},
+        "trials": trials_report([
+            Columns(("id", "forecast", "reward", "loss"),
+                    ((0, 1), (0.5, -0.0), (1, 0), (0.0, 2.5))),
+        ] * 2),
+        "mistakes": {"per_trial": [0, 1], "nested": [[1], {"a": []}]},
+    }
+    want = reference({**report, "trials": [
+        {"trial": t["trial"], "per_object": as_dicts(t["per_object"])} for t in report["trials"]
+    ]})  # json's own indented encoder leaves closures in a cycle, so it runs first
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        text = _dumps(report)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert text == want
