@@ -234,9 +234,8 @@ class Columns(NamedTuple):
 
 
 class _Texts(dict):
-    """template % values for each key, formatted once and kept, except a
-    float zero: 0.0 and -0.0 are one key but two texts. An int run is keyed
-    by its tuple and a float by itself, so the two kinds never share a key."""
+    """template % values per key, formatted once and kept, except a float zero
+    (0.0 and -0.0 are one key, two texts); an int run's key is a tuple."""
 
     def __init__(self, template: str):
         self.template = template
@@ -249,8 +248,7 @@ class _Texts(dict):
 
 
 class _Writer:
-    """The pieces of a report's JSON text, appended to out (see _dumps).
-    Nothing refers back to the writer, so no cycle keeps its state alive."""
+    """A report's JSON text in pieces (see _dumps); it holds no reference cycle."""
 
     def __init__(self):
         self.out: list[str] = []
@@ -272,6 +270,8 @@ class _Writer:
         return self.encode({name: None}, pad)[1:-len(": null}")]
 
     def records(self, table: Columns, pad: str) -> None:
+        if len(table.keys) != len(table.columns) or len(set(map(len, table.columns))) != 1:
+            raise TypeError("report Columns need one column per key, all of one length")
         if not len(table.columns[0]):
             return self.out.append("[]")
         inner, deep = pad + "  ", pad + "    "
@@ -327,11 +327,10 @@ def _dumps(report) -> str:
     The text is byte for byte json.dumps(report, indent=2, allow_nan=False),
     with a Columns value written as its list of records. Each container of
     scalars is one call of the C encoder, with the newline and indent of
-    its depth as the member separator. A record is cut at each float column
-    and each maximal run of int columns; each piece's text is formatted by
-    %r once per call, since json writes an int or a finite float as its
-    repr, and serves every record and trial that repeats its values. The
-    pieces are joined once.
+    its depth as the member separator. A record is cut into its float
+    columns and its maximal runs of int columns, and each piece's %r text
+    (json writes an int or a finite float as its repr) is formatted once per
+    call per distinct value. The pieces are joined once.
     """
     writer = _Writer()
     try:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import compress, repeat
 from numbers import Real
-from operator import eq, itemgetter, le, mul, sub
+from operator import add, eq, itemgetter, le, mul, sub
 from statistics import fmean
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -104,9 +105,15 @@ def radius(vc: int, vc_star: int, delta: int) -> int:
     return delta * vc // vc_star
 
 
+def _scores(expert: float, centers: Sequence[float], radii: Sequence) -> tuple[list, list[int]]:
+    """The losses |expert - center|, and the rewards: 1 within the radius."""
+    losses = list(map(abs, map(sub, repeat(expert), centers)))
+    return losses, list(map(int, map(le, losses, radii)))
+
+
 def reward(center: float, r: float, expert: float) -> int:
     """1 when the expert value lands in the closed ball around center."""
-    return 1 if abs(expert - center) <= r else 0
+    return _scores(expert, (center,), (r,))[1][0]
 
 
 def _tie_rng(seed: int, trial_index: int, candidate_ids: Sequence[ObjectId]) -> random.Random:
@@ -161,8 +168,7 @@ def max_rewarded_loss(trial: TrialResult) -> Optional[float]:
 
 
 def _agreement_counts(rows: Sequence[tuple], reference: tuple) -> list[int]:
-    """Each row's touching size: how many of its cells equal the reference's.
-    run_trial counts this way; _lane_counts reads a session's off byte lanes."""
+    """Each row's touching size: how many of its cells equal the reference's."""
     return [sum(map(eq, row, reference)) for row in rows]
 
 
@@ -205,9 +211,7 @@ def _finish(panel: TrialResult, expert: Optional[float], config: PredictionConfi
     weighted, degenerate = _weighted(panel.forecasts, panel.vcs)
     if expert is None:
         return panel._replace(weighted=weighted, weights_degenerate=degenerate)
-    # reward() per agent, as maps: the loss and whether it is within the radius
-    losses = list(map(abs, map(sub, repeat(expert), panel.forecasts)))
-    rewards = list(map(int, map(le, losses, panel.radii)))
+    losses, rewards = _scores(expert, panel.forecasts, panel.radii)
     rewarded = list(compress(zip(panel.objects, losses, panel.forecasts), rewards))
     return panel._replace(
         weighted=weighted,
@@ -266,27 +270,27 @@ def score_trial(
 def _lane_counts(rows: Sequence[tuple]) -> Iterator[list[int]]:
     """_agreement_counts(rows[:i] + rows[i + 1:], rows[i]) for each i in turn.
 
-    For each feature f and each of its values v, masks[f][v] is an int whose
-    byte lane j holds eq(rows[j][f], v). A lane holds the feature count, so
-    the sum of row i's masks never carries from one lane into the next, and
-    its lane j is row j's agreement count with row i (H. S. Warren,
-    Hacker's Delight, 2nd ed., 2012, ch. 5).
-    """
+    Per feature, a value v that two or more rows hold gets a mask, an int
+    whose byte lane j holds eq(rows[j][f], v). A lane holds the feature count,
+    so row i's total, the sum of its masks, never carries between lanes, and
+    its lane j is row j's agreement count (H. S. Warren, Hacker's Delight,
+    2nd ed., 2012, ch. 5). A value held by row i alone would set only lane
+    i, which is dropped. One feature's masks are kept at a time."""
     n = len(rows)
     features = max(map(len, rows), default=0)
     width, code = next((w, c) for w, c in _LANES if features < 256 ** w)
     # lanes in native byte order, so that memoryview.cast reads them off
     low = (width - 1) * (sys.byteorder == "big")
     lanes = bytearray(n * width)
-    masks = []
+    totals = [0] * n
     for column in zip(*rows):
         mask = {}
-        for v in set(column):
-            lanes[low::width] = bytes(map(eq, column, repeat(v)))
-            mask[v] = int.from_bytes(lanes, sys.byteorder)
-        masks.append(mask)
-    for i, row in enumerate(rows):
-        total = sum(map(dict.__getitem__, masks, row))
+        for v, count in Counter(column).items():
+            if count > 1:
+                lanes[low::width] = bytes(map(eq, column, repeat(v)))
+                mask[v] = int.from_bytes(lanes, sys.byteorder)
+        totals = list(map(add, totals, map(mask.get, column, repeat(0))))
+    for i, total in enumerate(totals):
         sizes = memoryview(total.to_bytes(n * width, sys.byteorder)).cast(code).tolist()
         del sizes[i]
         yield sizes

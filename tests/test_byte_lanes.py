@@ -67,3 +67,13 @@ def test_nan_agrees_with_nothing_and_one_is_true():
     nan = float("nan")
     rows = [(nan, 1, "x"), (nan, 1.0, "x"), (NAN, True, "y"), (float("nan"), 2, "x")]
     assert list(_lane_counts(rows)) == oracle(rows) == [[2, 1, 1], [2, 1, 1], [1, 1, 0], [1, 1, 0]]
+
+
+@pytest.mark.parametrize("features", [1, 10, 256])
+@pytest.mark.parametrize("copies", [1, 2, 3, 40])
+def test_high_cardinality_columns(features, copies):
+    # every value held by `copies` rows: 1 makes every cell a singleton,
+    # which builds no mask, and 40 makes every column one value
+    rows = [tuple(f"{j}:{i // copies}" for j in range(features)) for i in range(40)]
+    rows[0] = ("x",) + rows[0][1:]
+    assert list(_lane_counts(rows)) == oracle(rows)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from types import MappingProxyType
 
 import pytest
@@ -58,6 +58,15 @@ class TestForecastAndReward:
         assert reward(4.0, 1, 5.0) == 1
         assert reward(4.0, 1, 5.5) == 0
         assert reward(4.0, 0, 4.0) == 1
+
+    @pytest.mark.parametrize("expert", [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 7.0, -0.0])
+    def test_scored_rewards_and_losses_are_reward_and_its_distance(self, expert):
+        # radii 0..3 around 4.0 and 4.5: the expert values sit on, inside and
+        # just outside each ball's edge
+        rows = [(i, 1, r, c) for i, (r, c) in enumerate(product(range(4), (4.0, 4.5)))]
+        scored = score_trial(panel(*rows), expert)
+        assert scored.rewards == [reward(c, r, expert) for _, _, r, c in rows]
+        assert scored.losses == [abs(expert - c) for _, _, _, c in rows]
 
 
 class TestConfig:

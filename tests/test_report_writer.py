@@ -153,6 +153,20 @@ def test_column_mixing_ints_and_floats_is_refused():
         _dumps(Columns(("loss",), ((1, 1.5),)))
 
 
+@pytest.mark.parametrize("table", [
+    Columns(("a", "b"), ((1, 2), (1,))),
+    Columns(("a", "b"), ((1,), (1, 2))),
+    Columns(("a", "b"), ((1.0, 2.0), (1, 2, 3))),
+    Columns(("a", "b"), ((), (1,))),
+    Columns(("a", "b"), ((1, 2),)),
+    Columns(("a",), ((1, 2), (3, 4))),
+    Columns((), ()),
+])
+def test_columns_of_unequal_length_or_count_are_refused(table):
+    with pytest.raises(TypeError, match="one column per key, all of one length"):
+        _dumps({"trials": [{"per_object": table}]})
+
+
 # Texts are cached per _dumps call and shared by every Columns record that
 # has the same keys at the same depth, so a cache bug shows only across
 # records: a signed zero written as the other sign, an int written as a
