@@ -18,20 +18,24 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
+from operator import add, mul
 from statistics import fmean
-from typing import Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .errors import DomainError, InputError, UsageError
 from .laws import MAX_REPORTED_FAILURES, full_selftest
-from .mistakes import count_mistakes
+from .mistakes import MistakeLedger, count_mistakes
 from .predict import (
     PredictionConfig,
     TrialResult,
-    leave_one_out,
+    _run_trial,
+    _session,
+    _SessionTrial,
     max_rewarded_loss,
-    run_trial,
 )
+# Not called here; imported only because perfbench/spans.py rebinds it to time it.
+from .predict import run_trial  # noqa: F401
 from .syllogistic import (
     enumerate_moods,
     is_valid_mood,
@@ -222,29 +226,12 @@ def _is_flat(members) -> bool:
     return not any(map(isinstance, members, repeat(_CONTAINERS)))
 
 
-class Columns(NamedTuple):
-    """Records held as columns: record i maps keys[j] to columns[j][i].
+class _Text(list):
+    """A report value already written as JSON, in pieces: one trial's agent
+    records. The writer refuses it unless finite, as the C encoder refuses
+    nan and inf."""
 
-    Each column holds only ints or only floats, so the report writer can
-    write every record from texts it formats once per distinct value.
-    """
-
-    keys: tuple[str, ...]
-    columns: tuple[Sequence, ...]
-
-
-class _Texts(dict):
-    """template % values per key, formatted once and kept, except a float zero
-    (0.0 and -0.0 are one key, two texts); an int run's key is a tuple."""
-
-    def __init__(self, template: str):
-        self.template = template
-
-    def __missing__(self, values):
-        text = self.template % values
-        if values != 0:
-            self[values] = text
-        return text
+    finite = True
 
 
 class _Writer:
@@ -252,8 +239,9 @@ class _Writer:
 
     def __init__(self):
         self.out: list[str] = []
+        self.cuts: list[int] = []  # where each _Text ends in out
         self.encoders = {}
-        self.texts: dict[str, _Texts] = {}
+        self.keys: dict[str, str] = {}
 
     def encode(self, obj, pad: str) -> str:
         # obj by the C encoder, members separated by a newline and pad
@@ -264,47 +252,21 @@ class _Writer:
         return self.encoders[pad](obj)
 
     def key(self, name, pad: str) -> str:
-        if isinstance(name, str):
-            return self.encode(name, pad)
+        if type(name) is str:
+            if name not in self.keys:
+                self.keys[name] = self.encode(name, pad)
+            return self.keys[name]
         # json writes a non-string key as a string; let the C encoder say how
         return self.encode({name: None}, pad)[1:-len(": null}")]
 
-    def records(self, table: Columns, pad: str) -> None:
-        if len(table.keys) != len(table.columns) or len(set(map(len, table.columns))) != 1:
-            raise TypeError("report Columns need one column per key, all of one length")
-        if not len(table.columns[0]):
-            return self.out.append("[]")
-        inner, deep = pad + "  ", pad + "    "
-        runs = []  # [is_float, template, columns]: one text source each
-        for name, column in zip(table.keys, table.columns):
-            kinds = set(map(type, column))
-            if kinds == {float}:
-                if not all(map(math.isfinite, column)):
-                    raise ValueError(name)  # as the C encoder does for nan/inf
-            elif kinds != {int}:
-                # a bool or an int subclass has another repr than json's
-                raise TypeError(
-                    f"report column {name!r} holds {sorted(k.__name__ for k in kinds)}, "
-                    "not only int or only float"
-                )
-            field = f"{',' if runs else '{'}\n{deep}{self.key(name, deep).replace('%', '%%')}: %r"
-            if kinds == {float} or not runs or runs[-1][0]:
-                runs.append([kinds == {float}, field, [column]])
-            else:
-                runs[-1][1] += field
-                runs[-1][2].append(column)
-        runs[-1][1] += f"\n{inner}}}"
-        sources = [
-            map(self.texts.setdefault(t, _Texts(t)).__getitem__, cs[0] if is_float else zip(*cs))
-            for is_float, t, cs in runs
-        ]
-        leads = chain((f"[\n{inner}",), repeat(f",\n{inner}"))
-        self.out.extend(chain.from_iterable(zip(leads, *sources)))
-        self.out.append(f"\n{pad}]")
-
     def write(self, obj, pad: str) -> None:
-        if isinstance(obj, Columns):
-            return self.records(obj, pad)
+        if isinstance(obj, _Text):
+            if not obj.finite:
+                raise ValueError("a non-finite number")
+            self.out.extend(obj)
+            return self.cuts.append(len(self.out))
+        if type(obj) is int or type(obj) is float and math.isfinite(obj):
+            return self.out.append(repr(obj))  # json writes these as their repr
         if not isinstance(obj, _CONTAINERS) or not obj:
             return self.out.append(self.encode(obj, pad))
         inner = pad + "  "
@@ -321,23 +283,147 @@ class _Writer:
         self.out.append(f"\n{pad}{closing}")
 
 
-def _dumps(report) -> str:
-    """The report as strict JSON; a non-finite number is a domain error.
-
-    The text is byte for byte json.dumps(report, indent=2, allow_nan=False),
-    with a Columns value written as its list of records. Each container of
-    scalars is one call of the C encoder, with the newline and indent of
-    its depth as the member separator. A record is cut into its float
-    columns and its maximal runs of int columns, and each piece's %r text
-    (json writes an int or a finite float as its repr) is formatted once per
-    call per distinct value. The pieces are joined once.
-    """
+def _written(report) -> _Writer:
     writer = _Writer()
     try:
         writer.write(report, "")
     except ValueError:
         raise DomainError(f"{_NON_FINITE}, so it is not valid JSON") from None
-    return "".join(writer.out)
+    return writer
+
+
+def _dumps(report) -> str:
+    """The report as strict JSON; a non-finite number is a domain error.
+
+    The text is byte for byte json.dumps(report, indent=2, allow_nan=False),
+    with a _Text value written as its pieces. Each container of scalars is
+    one call of the C encoder, with the newline and indent of its depth as
+    the member separator. The pieces are joined once.
+    """
+    return "".join(_written(report).out)
+
+
+def _print_json(report) -> None:
+    """Print _dumps(report) and a newline, one _Text and what precedes it at
+    a time. Every piece is built and checked before the first is written,
+    so a report that is not valid JSON leaves stdout empty."""
+    writer = _written(report)
+    write, start = sys.stdout.write, 0
+    for end in writer.cuts:
+        write("".join(writer.out[start:end]))
+        start = end
+    write("".join(writer.out[start:]))
+    write("\n")
+
+
+class _Losses(dict):
+    """loss -> its text and its record's end. A loss is a float from abs, so
+    its value is an exact key (no -0.0); each is checked on its first format,
+    and finite turns False for good on one outside the float range."""
+
+    finite = True
+
+    def __init__(self, end: str):
+        self.end = end
+
+    def __missing__(self, loss):
+        if not math.isfinite(loss):
+            self.finite = False
+            return ""
+        text = self[loss] = f"{loss!r}{self.end}"
+        return text
+
+
+class _Middles(dict):
+    """A record's text from its touching size through "loss": (to its end when
+    unscored) for one (ground size, VC*), by (size * D + decision code) * 2 +
+    reward: VC and radius come from the session's maps, the radius map being
+    the trial's at hand."""
+
+    def __init__(self, template: str, forecasts: list[str], vc_of_size: dict[int, int]):
+        self.template = template
+        self.forecasts = forecasts
+        self.vc_of_size = vc_of_size
+        self.radius_of_size: dict[int, int] = {}
+
+    def __missing__(self, key: int) -> str:
+        rest, reward = divmod(key, 2)
+        size, code = divmod(rest, len(self.forecasts))
+        text = self[key] = self.template.format(
+            size=size, vc=self.vc_of_size[size], radius=self.radius_of_size[size],
+            forecast=self.forecasts[code], reward=reward,
+        )
+        return text
+
+
+class _Records:
+    """A session's agent records as JSON text at the indent of a per_object
+    list at pad, three cached texts per record: a head per object id, a
+    middle per (ground size, VC*, key) and a loss text per distinct loss.
+
+    Ids and decisions are checked and formatted once per session; a
+    decision's code is its text, so -0.0 and 0.0 stay apart.
+    """
+
+    def __init__(self, system: DecisionSystem, pad: str):
+        inner, deep = pad + "  ", pad + "    "
+        encode = json.JSONEncoder().encode
+        self.heads = [
+            f',\n{inner}{{\n{deep}"id": {encode(o)},\n{deep}"touching_size": '
+            for o in system.objects
+        ]
+        texts = []
+        for o in system.objects:
+            d = system.decisions[o]
+            if type(d) is not float:
+                raise TypeError(f"decision {d!r} of object {o!r} is not a float")
+            if not math.isfinite(d):
+                raise DomainError(f"{_NON_FINITE}, so it is not valid JSON")
+            texts.append(repr(d))
+        codes = {text: code for code, text in enumerate(dict.fromkeys(texts))}
+        self.forecasts = list(codes)
+        self.stride = 2 * len(codes)
+        self.codes = [2 * codes[t] for t in texts]
+        fields = f',\n{deep}"vc": {{vc}},\n{deep}"radius": {{radius}},\n{deep}"forecast": {{forecast}}'
+        self.templates = {
+            True: "{size}" + fields + f',\n{deep}"reward": {{reward}},\n{deep}"loss": ',
+            False: "{size}" + fields + f"\n{inner}}}}}",
+        }
+        self.middles: dict[tuple, _Middles] = {}
+        self.losses = _Losses(f"\n{inner}}}")
+        self.close = f"\n{pad}]"
+
+    def trial(self, item: _SessionTrial, holdout: Optional[int]) -> _Text:
+        """The trial's per_object list; holdout is the index of the object
+        the trial holds out, None when every object is an agent."""
+        trial, ground, vc_of_size, radius_of_size = item
+        heads, codes = self.heads, self.codes
+        if holdout is not None:
+            heads = heads[:holdout] + heads[holdout + 1:]
+            codes = codes[:holdout] + codes[holdout + 1:]
+        scored = trial.rewards is not None
+        columns = [trial.touching_sizes, *((trial.rewards, trial.losses) if scored else ())]
+        if any(len(column) != len(heads) for column in columns):
+            raise TypeError("a trial needs a touching size per agent, and a reward and "
+                            "a loss per agent once scored")
+        middles = self.middles.get((ground, trial.vc_star, scored))
+        if middles is None:
+            middles = self.middles[ground, trial.vc_star, scored] = _Middles(
+                self.templates[scored], self.forecasts, vc_of_size)
+        middles.radius_of_size = radius_of_size
+        keys = map(add, map(mul, trial.touching_sizes, repeat(self.stride)), codes)
+        if scored:
+            texts = (heads, map(middles.__getitem__, map(add, keys, trial.rewards)),
+                     map(self.losses.__getitem__, trial.losses))
+        else:
+            texts = (heads, map(middles.__getitem__, keys))
+        pieces = _Text(repeat(None, len(texts) * len(heads)))
+        for j, column in enumerate(texts):
+            pieces[j::len(texts)] = column
+        pieces[0] = "[" + pieces[0][1:]
+        pieces.append(self.close)
+        pieces.finite = self.losses.finite
+        return pieces
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -358,26 +444,26 @@ def _finite_cell(cell) -> bool:
 
 
 _AGENT_KEYS = ("id", "touching_size", "vc", "radius", "forecast")
+# the indent of a per_object list in a predict report and in an evaluate-loo trial
+_PREDICT_RECORDS_PAD = " " * 2
+_LOO_RECORDS_PAD = " " * 6
 
 
-def _trial_fields(trial: TrialResult) -> dict:
+def _trial_fields(trial: TrialResult, records: _Text) -> dict:
     """A trial's report entries from the expert value to the regret, with
-    the agent records as columns; an unscored trial has no expert, reward,
+    its agent records as written; an unscored trial has no expert, reward,
     loss, winner or regret."""
-    columns = (trial.objects, trial.touching_sizes, trial.vcs, trial.radii, trial.forecasts)
     if trial.rewards is None:
         return {
             "vc_star": trial.vc_star,
-            "per_object": Columns(_AGENT_KEYS, columns),
+            "per_object": records,
             "weighted": trial.weighted,
             "weights_degenerate": trial.weights_degenerate,
         }
     return {
         "expert": trial.expert,
         "vc_star": trial.vc_star,
-        "per_object": Columns(
-            (*_AGENT_KEYS, "reward", "loss"), (*columns, trial.rewards, trial.losses)
-        ),
+        "per_object": records,
         "winner": list(trial.winner) if trial.winner is not None else None,
         "weighted": trial.weighted,
         "weights_degenerate": trial.weights_degenerate,
@@ -389,49 +475,69 @@ def cmd_predict(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     system = _load_table(args.table, args.decision)
     omega = _parse_omega(args.omega, system)
-    trial = run_trial(system, omega, expert=args.expert, config=config)
-    report = {"config": _config_echo(args, config), "omega": omega, **_trial_fields(trial)}
+    item = _run_trial(system, omega, args.expert, config)
+    trial = item[0]
+    if args.output == "csv":
+        keys, columns = _AGENT_KEYS, [
+            trial.objects, trial.touching_sizes, trial.vcs, trial.radii, trial.forecasts]
+        if trial.rewards is not None:
+            keys, columns = (*keys, "reward", "loss"), [*columns, trial.rewards, trial.losses]
+        print(_csv_text(keys, zip(*columns)), end="")
+        return 0
+    records = _Records(system, _PREDICT_RECORDS_PAD).trial(item, None)
+    report = {"config": _config_echo(args, config), "omega": omega, **_trial_fields(trial, records)}
     if args.expert is not None:
         report["max_rewarded_loss"] = max_rewarded_loss(trial)
     report["seed"] = config.rng_seed
-    if args.output == "csv":
-        records = report["per_object"]
-        print(_csv_text(records.keys, zip(*records.columns)), end="")
-    else:
-        print(_dumps(report))
+    _print_json(report)
     return 0
 
 
-def _trial_digest(system: DecisionSystem, trial: TrialResult) -> dict:
+def _trial_digest(system: DecisionSystem, records: _Records, item: _SessionTrial) -> dict:
+    trial = item[0]
     holdout = system.objects[trial.trial_index]
     return {
         "trial": trial.trial_index,
         "holdout": holdout,
         "omega": system.row(holdout),
-        **_trial_fields(trial),
+        **_trial_fields(trial, records.trial(item, trial.trial_index)),
     }
+
+
+def _fold(system: DecisionSystem, config: PredictionConfig, entry) -> tuple[list, MistakeLedger]:
+    """entry(item) for each trial of the leave-one-out session, and the
+    session's ledger, folded as the trials go by; no trial is kept."""
+    entries = []
+
+    def keep(item: _SessionTrial) -> TrialResult:
+        entries.append(entry(item))
+        return item[0]
+
+    return entries, count_mistakes(map(keep, _session(system, config)))
+
+
+def _summary_row(system: DecisionSystem, trial: TrialResult) -> list:
+    """A trial's CSV row up to its mistakes."""
+    return [trial.trial_index, system.objects[trial.trial_index], trial.expert, trial.vc_star,
+            *(trial.winner or (None, None)), trial.weighted, trial.regret]
 
 
 def cmd_evaluate_loo(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     system = _load_table(args.table, args.decision)
-    trials = leave_one_out(system, config)
-    ledger = count_mistakes(trials)
     if args.output == "csv":
         header = ["trial", "holdout", "expert", "vc_star", "winner_id",
                   "winner_forecast", "weighted", "regret", "mistakes"]
-        rows = (
-            [t.trial_index, o, t.expert, t.vc_star, *(t.winner or (None, None)),
-             t.weighted, t.regret, misses]
-            for o, t, misses in zip(system.objects, trials, ledger.per_trial)
-        )
-        print(_csv_text(header, rows), end="")
+        rows, ledger = _fold(system, config, lambda item: _summary_row(system, item[0]))
+        print(_csv_text(header, (row + [n] for row, n in zip(rows, ledger.per_trial))), end="")
         return 0
-    regrets = [t.regret for t in trials]
+    records = _Records(system, _LOO_RECORDS_PAD)
+    digests, ledger = _fold(system, config, lambda item: _trial_digest(system, records, item))
+    regrets = [d["regret"] for d in digests]
     report = {
         "config": _config_echo(args, config),
         "object_count": len(system.objects),
-        "trials": [_trial_digest(system, t) for t in trials],
+        "trials": digests,
         "approx_predicted": all(ledger.covered),
         "mistakes": {
             "per_object": {str(o): n for o, n in ledger.per_object_mistakes.items()},
@@ -442,7 +548,7 @@ def cmd_evaluate_loo(args: argparse.Namespace) -> int:
         },
         "regret_stats": {"mean": fmean(regrets), "max": max(regrets)},
     }
-    print(_dumps(report))
+    _print_json(report)
     return 0
 
 
@@ -469,7 +575,7 @@ def cmd_moods(args: argparse.Namespace) -> int:
             for e in enumerate_moods()
         ]
         if args.output == "json":
-            print(_dumps([dict(zip(header, row)) for row in rows]))
+            _print_json([dict(zip(header, row)) for row in rows])
         else:
             text_rows = (
                 [*head, "true" if valid else "false", name or ""] for *head, valid, name in rows

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from operator import not_
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import DomainError
 from .predict import PredictionConfig, TrialResult
@@ -34,29 +34,32 @@ class MistakeLedger:
     mistake_free_objects: frozenset[ObjectId]
 
 
-def count_mistakes(trials: Sequence[TrialResult]) -> MistakeLedger:
-    """Tally reward misses over scored trials.
+def count_mistakes(trials: Iterable[TrialResult]) -> MistakeLedger:
+    """Tally reward misses over scored trials, in one pass.
 
     covered[i] says whether trial i rewarded anyone; the mistake-free set
     collects agents that never missed in any trial they took part in.
     """
-    if not trials:
-        raise DomainError("mistake counting needs at least one trial")
     agents: set[ObjectId] = set()
     missed: Counter = Counter()
     per_trial = []
+    covered = []
     for trial in trials:
         if trial.rewards is None:
             raise DomainError("mistake counting needs scored trials")
         agents.update(trial.objects)
         missed.update(compress(trial.objects, map(not_, trial.rewards)))
-        per_trial.append(trial.rewards.count(0))
+        misses = trial.rewards.count(0)
+        per_trial.append(misses)
+        covered.append(misses < len(trial.objects))
+    if not per_trial:
+        raise DomainError("mistake counting needs at least one trial")
     per_object = {o: missed[o] for o in sorted(agents)}
     return MistakeLedger(
         per_object_mistakes=per_object,
         per_trial=tuple(per_trial),
         total=sum(per_trial),
-        covered=tuple(n < len(t.objects) for t, n in zip(trials, per_trial)),
+        covered=tuple(covered),
         mistake_free_objects=frozenset(o for o, n in per_object.items() if n == 0),
     )
 

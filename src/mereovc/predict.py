@@ -180,17 +180,18 @@ def _panel(
     vc_of_size: dict[int, int],
     config: PredictionConfig,
     trial_index: int,
-) -> TrialResult:
+) -> tuple[TrialResult, dict[int, int]]:
     """The agents' columns from their touching sizes: each VC and radius,
-    and the panel maximum VC*. vc_of_size, the caller's touching size -> VC
-    map on this ground size, gains only the sizes it lacks, so vc_count runs
-    once per (ground, size) per call; radius once per distinct size."""
+    and the panel maximum VC*; with the panel, its touching size -> radius
+    map. vc_of_size, the caller's touching size -> VC map on this ground
+    size, gains only the sizes it lacks, so vc_count runs once per (ground,
+    size) per call; radius once per distinct size."""
     present = set(sizes)
     for t in present.difference(vc_of_size):
         vc_of_size[t] = vc_count(ground, t, config.epsilon, config.mode)
     vc_star = max(map(vc_of_size.__getitem__, present))
     radius_of_size = {t: radius(vc_of_size[t], vc_star, config.delta) for t in present}
-    return TrialResult(
+    panel = TrialResult(
         objects,
         sizes,
         list(map(vc_of_size.__getitem__, sizes)),
@@ -199,6 +200,7 @@ def _panel(
         vc_star,
         trial_index=trial_index,
     )
+    return panel, radius_of_size
 
 
 def _finish(panel: TrialResult, expert: Optional[float], config: PredictionConfig) -> TrialResult:
@@ -239,6 +241,22 @@ def run_trial(
     so its ground size is one more than its feature count; that rule is
     tables.ground_size, which vc_of_object reads too.
     """
+    return _run_trial(system, omega, expert, config, trial_index)[0]
+
+
+# A trial as a session gives it: the trial, its ground size, the session's
+# touching size -> VC map on that ground and the trial's size -> radius map.
+_SessionTrial = tuple[TrialResult, int, dict[int, int], dict[int, int]]
+
+
+def _run_trial(
+    system: DecisionSystem,
+    omega: Mapping[str, Value],
+    expert: Optional[float],
+    config: PredictionConfig,
+    trial_index: int = 0,
+) -> _SessionTrial:
+    """run_trial as a one-trial session."""
     if not system.objects:
         raise DomainError("the system has no objects to act as agents")
     if omega.keys() != set(system.features):
@@ -252,8 +270,9 @@ def run_trial(
     objects = system.objects
     sizes = _agreement_counts([system.rows[o] for o in objects], reference)
     forecasts = [system.decisions[o] for o in objects]
-    panel = _panel(objects, sizes, forecasts, ground_size(system), {}, config, trial_index)
-    return _finish(panel, expert, config)
+    ground, vc_of_size = ground_size(system), {}
+    panel, radius_of_size = _panel(objects, sizes, forecasts, ground, vc_of_size, config, trial_index)
+    return _finish(panel, expert, config), ground, vc_of_size, radius_of_size
 
 
 def score_trial(
@@ -310,17 +329,21 @@ def leave_one_out(
     once per session (_lane_counts), and each (ground, touching size) VC is
     computed once per session.
     """
+    return [trial for trial, *_ in _session(system, config)]
+
+
+def _session(system: DecisionSystem, config: PredictionConfig) -> Iterator[_SessionTrial]:
+    """leave_one_out's trials one at a time, as the session gives them."""
     objects = system.objects
     if len(objects) < 2:
         raise DomainError("leave-one-out needs at least two objects")
     rows = [system.rows[o] for o in objects]
     decisions = [system.decisions[o] for o in objects]
     vc_by_ground: dict[int, dict[int, int]] = {}
-    trials = []
     for i, (ground, sizes) in enumerate(zip(loo_ground_sizes(system), _lane_counts(rows))):
-        panel = _panel(
+        vc_of_size = vc_by_ground.setdefault(ground, {})
+        panel, radius_of_size = _panel(
             objects[:i] + objects[i + 1:], sizes, decisions[:i] + decisions[i + 1:], ground,
-            vc_by_ground.setdefault(ground, {}), config, i,
+            vc_of_size, config, i,
         )
-        trials.append(_finish(panel, decisions[i], config))
-    return trials
+        yield _finish(panel, decisions[i], config), ground, vc_of_size, radius_of_size
