@@ -21,17 +21,18 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 from statistics import fmean
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Iterator, Mapping, Optional, Sequence, TextIO
 
 from .errors import DomainError, InputError, UsageError
 from .laws import MAX_REPORTED_FAILURES, full_selftest
 from .mistakes import MistakeLedger, count_mistakes
 from .predict import (
     PredictionConfig,
-    TrialResult,
+    _codes,
+    _Keyed,
+    _result,
     _run_trial,
     _session,
-    _SessionTrial,
     max_rewarded_loss,
 )
 # Not called here; imported only because perfbench/spans.py rebinds it to time it.
@@ -238,8 +239,8 @@ class _Writer:
     """A report's JSON text in pieces (see _dumps); it holds no reference cycle."""
 
     def __init__(self):
-        self.out: list[str] = []
-        self.cuts: list[int] = []  # where each _Text ends in out
+        self.out: list = []  # strs, and each _Text as itself
+        self.cuts: list[int] = []  # where each _Text sits in out
         self.encoders = {}
         self.keys: dict[str, str] = {}
 
@@ -263,8 +264,8 @@ class _Writer:
         if isinstance(obj, _Text):
             if not obj.finite:
                 raise ValueError("a non-finite number")
-            self.out.extend(obj)
-            return self.cuts.append(len(self.out))
+            self.cuts.append(len(self.out))
+            return self.out.append(obj)
         if type(obj) is int or type(obj) is float and math.isfinite(obj):
             return self.out.append(repr(obj))  # json writes these as their repr
         if not isinstance(obj, _CONTAINERS) or not obj:
@@ -282,6 +283,15 @@ class _Writer:
             lead = f",\n{inner}"
         self.out.append(f"\n{pad}{closing}")
 
+    def chunks(self) -> Iterator[str]:
+        """The text, one _Text and what precedes it at a time."""
+        out, start = self.out, 0
+        for cut in self.cuts:
+            yield "".join(out[start:cut])
+            yield "".join(out[cut])
+            start = cut + 1
+        yield "".join(out[start:])
+
 
 def _written(report) -> _Writer:
     writer = _Writer()
@@ -298,21 +308,19 @@ def _dumps(report) -> str:
     The text is byte for byte json.dumps(report, indent=2, allow_nan=False),
     with a _Text value written as its pieces. Each container of scalars is
     one call of the C encoder, with the newline and indent of its depth as
-    the member separator. The pieces are joined once.
+    the member separator. The writer keeps each _Text as itself, so its
+    pieces are joined only here.
     """
-    return "".join(_written(report).out)
+    return "".join(_written(report).chunks())
 
 
 def _print_json(report) -> None:
     """Print _dumps(report) and a newline, one _Text and what precedes it at
     a time. Every piece is built and checked before the first is written,
     so a report that is not valid JSON leaves stdout empty."""
-    writer = _written(report)
-    write, start = sys.stdout.write, 0
-    for end in writer.cuts:
-        write("".join(writer.out[start:end]))
-        start = end
-    write("".join(writer.out[start:]))
+    write = sys.stdout.write
+    for chunk in _written(report).chunks():
+        write(chunk)
     write("\n")
 
 
@@ -336,21 +344,22 @@ class _Losses(dict):
 
 class _Middles(dict):
     """A record's text from its touching size through "loss": (to its end when
-    unscored) for one (ground size, VC*), by (size * D + decision code) * 2 +
-    reward: VC and radius come from the session's maps, the radius map being
-    the trial's at hand."""
+    unscored) for one (ground size, VC*), by 2 * key + reward, with key =
+    size * D + decision code; VC and radius come from the session's maps
+    by touching size (predict._Maps)."""
 
-    def __init__(self, template: str, forecasts: list[str], vc_of_size: dict[int, int]):
+    def __init__(self, template: str, forecasts: list[str], vc: Mapping[int, int],
+                 radius: Mapping[int, int]):
         self.template = template
         self.forecasts = forecasts
-        self.vc_of_size = vc_of_size
-        self.radius_of_size: dict[int, int] = {}
+        self.vc = vc
+        self.radius = radius
 
     def __missing__(self, key: int) -> str:
         rest, reward = divmod(key, 2)
         size, code = divmod(rest, len(self.forecasts))
         text = self[key] = self.template.format(
-            size=size, vc=self.vc_of_size[size], radius=self.radius_of_size[size],
+            size=size, vc=self.vc[size], radius=self.radius[size],
             forecast=self.forecasts[code], reward=reward,
         )
         return text
@@ -359,10 +368,12 @@ class _Middles(dict):
 class _Records:
     """A session's agent records as JSON text at the indent of a per_object
     list at pad, three cached texts per record: a head per object id, a
-    middle per (ground size, VC*, key) and a loss text per distinct loss.
+    middle per (ground size, VC*, key, reward) and a loss text per distinct
+    loss.
 
-    Ids and decisions are checked and formatted once per session; a
-    decision's code is its text, so -0.0 and 0.0 stay apart.
+    Ids and decisions are checked and formatted once per session; decisions
+    are coded as the session codes them (predict._codes), by their text, so
+    -0.0 and 0.0 stay apart.
     """
 
     def __init__(self, system: DecisionSystem, pad: str):
@@ -372,18 +383,13 @@ class _Records:
             f',\n{inner}{{\n{deep}"id": {encode(o)},\n{deep}"touching_size": '
             for o in system.objects
         ]
-        texts = []
-        for o in system.objects:
-            d = system.decisions[o]
+        decisions = [system.decisions[o] for o in system.objects]
+        for o, d in zip(system.objects, decisions):
             if type(d) is not float:
                 raise TypeError(f"decision {d!r} of object {o!r} is not a float")
             if not math.isfinite(d):
                 raise DomainError(f"{_NON_FINITE}, so it is not valid JSON")
-            texts.append(repr(d))
-        codes = {text: code for code, text in enumerate(dict.fromkeys(texts))}
-        self.forecasts = list(codes)
-        self.stride = 2 * len(codes)
-        self.codes = [2 * codes[t] for t in texts]
+        self.forecasts = list(map(repr, _codes(decisions)[1]))
         fields = f',\n{deep}"vc": {{vc}},\n{deep}"radius": {{radius}},\n{deep}"forecast": {{forecast}}'
         self.templates = {
             True: "{size}" + fields + f',\n{deep}"reward": {{reward}},\n{deep}"loss": ',
@@ -393,30 +399,29 @@ class _Records:
         self.losses = _Losses(f"\n{inner}}}")
         self.close = f"\n{pad}]"
 
-    def trial(self, item: _SessionTrial, holdout: Optional[int]) -> _Text:
+    def trial(self, trial: _Keyed, holdout: Optional[int]) -> _Text:
         """The trial's per_object list; holdout is the index of the object
-        the trial holds out, None when every object is an agent."""
-        trial, ground, vc_of_size, radius_of_size = item
-        heads, codes = self.heads, self.codes
+        the trial holds out, None when every object is an agent. Each
+        distinct key's texts are looked up once, then each agent's by its
+        key."""
+        heads = self.heads
         if holdout is not None:
             heads = heads[:holdout] + heads[holdout + 1:]
-            codes = codes[:holdout] + codes[holdout + 1:]
-        scored = trial.rewards is not None
-        columns = [trial.touching_sizes, *((trial.rewards, trial.losses) if scored else ())]
-        if any(len(column) != len(heads) for column in columns):
-            raise TypeError("a trial needs a touching size per agent, and a reward and "
-                            "a loss per agent once scored")
-        middles = self.middles.get((ground, trial.vc_star, scored))
+        scored = trial.expert is not None
+        distinct, maps = trial.distinct, trial.maps
+        columns = (trial.key_rewards, trial.key_losses) if scored else ()
+        if len(trial.keys) != len(heads) or any(len(c) != len(distinct) for c in columns):
+            raise TypeError("a trial needs a key per agent, and a reward and a loss "
+                            "per distinct key once scored")
+        middles = self.middles.get((maps.ground, trial.vc_star, scored))
         if middles is None:
-            middles = self.middles[ground, trial.vc_star, scored] = _Middles(
-                self.templates[scored], self.forecasts, vc_of_size)
-        middles.radius_of_size = radius_of_size
-        keys = map(add, map(mul, trial.touching_sizes, repeat(self.stride)), codes)
+            middles = self.middles[maps.ground, trial.vc_star, scored] = _Middles(
+                self.templates[scored], self.forecasts, maps.vc, maps.radius[trial.vc_star])
+        doubled = map(mul, distinct, repeat(2))
+        texts = [heads, trial.per_agent(list(map(middles.__getitem__, map(
+            add, doubled, trial.key_rewards) if scored else doubled)))]
         if scored:
-            texts = (heads, map(middles.__getitem__, map(add, keys, trial.rewards)),
-                     map(self.losses.__getitem__, trial.losses))
-        else:
-            texts = (heads, map(middles.__getitem__, keys))
+            texts.append(trial.per_agent(list(map(self.losses.__getitem__, trial.key_losses))))
         pieces = _Text(repeat(None, len(texts) * len(heads)))
         for j, column in enumerate(texts):
             pieces[j::len(texts)] = column
@@ -449,11 +454,11 @@ _PREDICT_RECORDS_PAD = " " * 2
 _LOO_RECORDS_PAD = " " * 6
 
 
-def _trial_fields(trial: TrialResult, records: _Text) -> dict:
+def _trial_fields(trial: _Keyed, records: _Text) -> dict:
     """A trial's report entries from the expert value to the regret, with
     its agent records as written; an unscored trial has no expert, reward,
     loss, winner or regret."""
-    if trial.rewards is None:
+    if trial.expert is None:
         return {
             "vc_star": trial.vc_star,
             "per_object": records,
@@ -476,7 +481,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     system = _load_table(args.table, args.decision)
     omega = _parse_omega(args.omega, system)
     item = _run_trial(system, omega, args.expert, config)
-    trial = item[0]
+    trial = _result(item)
     if args.output == "csv":
         keys, columns = _AGENT_KEYS, [
             trial.objects, trial.touching_sizes, trial.vcs, trial.radii, trial.forecasts]
@@ -485,7 +490,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         print(_csv_text(keys, zip(*columns)), end="")
         return 0
     records = _Records(system, _PREDICT_RECORDS_PAD).trial(item, None)
-    report = {"config": _config_echo(args, config), "omega": omega, **_trial_fields(trial, records)}
+    report = {"config": _config_echo(args, config), "omega": omega, **_trial_fields(item, records)}
     if args.expert is not None:
         report["max_rewarded_loss"] = max_rewarded_loss(trial)
     report["seed"] = config.rng_seed
@@ -493,30 +498,29 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trial_digest(system: DecisionSystem, records: _Records, item: _SessionTrial) -> dict:
-    trial = item[0]
+def _trial_digest(system: DecisionSystem, records: _Records, trial: _Keyed) -> dict:
     holdout = system.objects[trial.trial_index]
     return {
         "trial": trial.trial_index,
         "holdout": holdout,
         "omega": system.row(holdout),
-        **_trial_fields(trial, records.trial(item, trial.trial_index)),
+        **_trial_fields(trial, records.trial(trial, trial.trial_index)),
     }
 
 
 def _fold(system: DecisionSystem, config: PredictionConfig, entry) -> tuple[list, MistakeLedger]:
-    """entry(item) for each trial of the leave-one-out session, and the
+    """entry(trial) for each trial of the leave-one-out session, and the
     session's ledger, folded as the trials go by; no trial is kept."""
     entries = []
 
-    def keep(item: _SessionTrial) -> TrialResult:
-        entries.append(entry(item))
-        return item[0]
+    def keep(trial: _Keyed) -> _Keyed:
+        entries.append(entry(trial))
+        return trial
 
     return entries, count_mistakes(map(keep, _session(system, config)))
 
 
-def _summary_row(system: DecisionSystem, trial: TrialResult) -> list:
+def _summary_row(system: DecisionSystem, trial: _Keyed) -> list:
     """A trial's CSV row up to its mistakes."""
     return [trial.trial_index, system.objects[trial.trial_index], trial.expert, trial.vc_star,
             *(trial.winner or (None, None)), trial.weighted, trial.regret]
@@ -528,11 +532,11 @@ def cmd_evaluate_loo(args: argparse.Namespace) -> int:
     if args.output == "csv":
         header = ["trial", "holdout", "expert", "vc_star", "winner_id",
                   "winner_forecast", "weighted", "regret", "mistakes"]
-        rows, ledger = _fold(system, config, lambda item: _summary_row(system, item[0]))
+        rows, ledger = _fold(system, config, lambda trial: _summary_row(system, trial))
         print(_csv_text(header, (row + [n] for row, n in zip(rows, ledger.per_trial))), end="")
         return 0
     records = _Records(system, _LOO_RECORDS_PAD)
-    digests, ledger = _fold(system, config, lambda item: _trial_digest(system, records, item))
+    digests, ledger = _fold(system, config, lambda trial: _trial_digest(system, records, trial))
     regrets = [d["regret"] for d in digests]
     report = {
         "config": _config_echo(args, config),

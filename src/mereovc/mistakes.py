@@ -35,7 +35,8 @@ class MistakeLedger:
 
 
 def count_mistakes(trials: Iterable[TrialResult]) -> MistakeLedger:
-    """Tally reward misses over scored trials, in one pass.
+    """Tally reward misses over scored trials, in one pass; a trial gives
+    its agents as objects and a reward per agent as rewards.
 
     covered[i] says whether trial i rewarded anyone; the mistake-free set
     collects agents that never missed in any trial they took part in.
@@ -45,13 +46,14 @@ def count_mistakes(trials: Iterable[TrialResult]) -> MistakeLedger:
     per_trial = []
     covered = []
     for trial in trials:
-        if trial.rewards is None:
+        rewards = trial.rewards
+        if rewards is None:
             raise DomainError("mistake counting needs scored trials")
         agents.update(trial.objects)
-        missed.update(compress(trial.objects, map(not_, trial.rewards)))
-        misses = trial.rewards.count(0)
-        per_trial.append(misses)
-        covered.append(misses < len(trial.objects))
+        misses = list(compress(trial.objects, map(not_, rewards)))
+        missed.update(misses)
+        per_trial.append(len(misses))
+        covered.append(len(misses) < len(trial.objects))
     if not per_trial:
         raise DomainError("mistake counting needs at least one trial")
     per_object = {o: missed[o] for o in sorted(agents)}

@@ -346,3 +346,187 @@ def test_evaluate_loo_prints_the_old_route_bytes(capsys, tmp_path, flags, config
     assert capsys.readouterr().out == want_json
     assert main(argv + ["--output", "csv"]) == 0
     assert capsys.readouterr().out == want_csv
+
+
+# The session counts touching sizes in byte lanes that hold the feature
+# count F (one byte below 256, two from 256 on), and reads each agent's
+# key, touching size * D + decision code, off lanes that hold (F + 1) * D.
+# The tables below put the keys on either side of 255 through D at F = 4
+# and at F = 255, and the count lanes on either side of their edge through
+# F at D = 1, with signed zeros, one decision, copied rows with other
+# decisions (ground F + 1), tied winners and all-VC-0 trials.
+
+
+def key_table(features, decisions, seed, n, copies=3):
+    """n rows, each a base row with a random set of its cells set to "c",
+    so agreement counts span 0..features; the last copies rows copy the
+    first ones, under another decision where the decisions, taken in turn,
+    give one."""
+    rng = random.Random(seed)
+    base = [rng.choice("ab") for _ in range(features)]
+    rows = []
+    for _ in range(n):
+        row = list(base)
+        for j in rng.sample(range(features), rng.randint(0, features)):
+            row[j] = "c"
+        rows.append(tuple(row))
+    for i in range(copies):
+        rows[-1 - i] = rows[i]
+    values = [decisions[i % len(decisions)] for i in range(len(rows))]
+    return DecisionSystem.from_rows(tuple(f"f{j}" for j in range(features)), rows, values)
+
+
+def codes_of(decisions):
+    texts = list(dict.fromkeys(map(repr, decisions)))
+    return [texts.index(repr(d)) for d in decisions], len(texts)
+
+
+KEY_TABLES = {
+    "F4_D51_keys_below_256": key_table(4, [i / 4 for i in range(51)], 1, 60),
+    "F4_D52_keys_above_255": key_table(4, [i / 4 for i in range(52)], 2, 60),
+    "F255_D1_one_byte_lanes": key_table(255, [1.5], 3, 12),
+    "F256_D1_two_byte_lanes": key_table(256, [1.5], 4, 12),
+    "F255_D3_keys_above_255": key_table(255, [0.0, -0.0, 2.5], 5, 12),
+    "F3_signed_zeros": key_table(3, [0.0, -0.0, 0.5, -0.0, 1.0], 6, 14, copies=4),
+    "F2_one_decision": key_table(2, [2.0], 7, 8),
+    "F1_all_vc_0": DecisionSystem.from_rows(
+        ("x",), [("a",), ("b",), ("c",), ("d",)], [0.0, -0.0, 0.5, 0.5]),
+}
+
+
+def test_key_tables_straddle_the_edges():
+    for name in ("F4_D51_keys_below_256", "F4_D52_keys_above_255"):
+        system = KEY_TABLES[name]
+        assert len(system.features) + 1 == 5 and len(set(system.decisions.values())) in (51, 52)
+    for name, system in KEY_TABLES.items():
+        top = max(max(t.keys) for t in predict._session(system, PredictionConfig()))
+        # with D = 1 a key is the touching size, which tops 255 only at F = 256
+        assert (top > 255) == name.endswith(("_above_255", "_two_byte_lanes")), name
+    # some trials are scored once per distinct key, others agent by agent
+    grouped = {t.pick is not None for system in KEY_TABLES.values()
+               for t in predict._session(system, PredictionConfig())}
+    assert grouped == {True, False}
+    grounds = {name: set(loo_ground_sizes(system)) for name, system in KEY_TABLES.items()}
+    for name in ("F4_D52_keys_above_255", "F255_D3_keys_above_255"):
+        assert len(KEY_TABLES[name].features) + 1 in grounds[name]
+    assert len({repr(d) for d in KEY_TABLES["F2_one_decision"].decisions.values()}) == 1
+
+
+@pytest.mark.parametrize("tie", ["random", "lowest_object_id"])
+@pytest.mark.parametrize("name", list(KEY_TABLES))
+def test_keyed_session_matches_the_rest_table_oracle(name, tie):
+    system = KEY_TABLES[name]
+    objects = system.objects
+    rows = [system.rows[o] for o in objects]
+    decisions = [system.decisions[o] for o in objects]
+    codes, stride = codes_of(decisions)
+    for epsilon in (Fraction(1, 2), Fraction(1)):
+        config = PredictionConfig(epsilon=epsilon, delta=3, tie_strategy=tie, rng_seed=7)
+        keyed = list(predict._session(system, config))
+        trials, ledger = oracle(system, config)
+        for i, (got, want) in enumerate(zip(keyed, trials)):
+            rest = rows[:i] + rows[i + 1:]
+            sizes = predict._agreement_counts(rest, rows[i])
+            assert got.keys == [s * stride + c for s, c in zip(sizes, codes[:i] + codes[i + 1:])]
+            assert sizes == want.touching_sizes
+        assert repr(list(map(predict._result, keyed))) == repr(trials)
+        assert repr(leave_one_out(system, config)) == repr(trials)
+        assert count_mistakes(predict._session(system, config)) == ledger
+
+
+def test_key_tables_reach_ties_zero_weights_and_both_zero_signs():
+    ties = degenerate = 0
+    for system in KEY_TABLES.values():
+        for epsilon in (Fraction(1, 2), Fraction(1)):
+            for trial in oracle(system, PredictionConfig(epsilon=epsilon, delta=3))[0]:
+                degenerate += trial.weights_degenerate
+                rewarded = list(compress(trial.losses, trial.rewards))
+                ties += rewarded.count(min(rewarded, default=None)) > 1
+    assert ties and degenerate
+    zeros = [repr(d) for d in KEY_TABLES["F3_signed_zeros"].decisions.values()]
+    assert "0.0" in zeros and "-0.0" in zeros
+
+
+def by_hand(trial, ground, config):
+    """A scored trial's VCs, radii, rewards, losses, winner, weighted value and
+    regret, recomputed agent by agent from its touching sizes and forecasts
+    as the protocol states them, sharing no code with the scorer."""
+    vcs = [vc_count(ground, size, config.epsilon, config.mode) for size in trial.touching_sizes]
+    vc_star = max(vcs)
+    radii = [0 if vc_star == 0 else config.delta * vc // vc_star for vc in vcs]
+    losses = [abs(trial.expert - f) for f in trial.forecasts]
+    rewards = [1 if loss <= r else 0 for loss, r in zip(losses, radii)]
+    rewarded = [(o, loss, f) for o, loss, f, w in
+                zip(trial.objects, losses, trial.forecasts, rewards) if w]
+    winner = None
+    if rewarded:
+        best = min(loss for _, loss, _ in rewarded)
+        tied = sorted([c for c in rewarded if c[1] == best], key=lambda c: c[0])
+        chosen = tied[0]
+        if len(tied) > 1 and config.tie_strategy == "random":
+            ids = ",".join(str(o) for o in sorted(o for o, _, _ in tied))
+            chosen = random.Random(f"{config.rng_seed}:{trial.trial_index}:{ids}").choice(tied)
+        winner = (chosen[0], chosen[2])
+    total = sum(vcs)
+    if total:
+        weighted = sum([f * vc for f, vc in zip(trial.forecasts, vcs)]) / total
+    else:
+        weighted = fmean(trial.forecasts)
+    return vcs, vc_star, radii, rewards, losses, winner, weighted, total == 0, (
+        abs(trial.expert - weighted) - min(losses))
+
+
+@pytest.mark.parametrize("tie", ["random", "lowest_object_id"])
+def test_sessions_score_each_agent_as_the_protocol_states(tie):
+    """Whether a trial is scored once per distinct key or agent by agent,
+    every agent gets what the protocol gives it on its own."""
+    grouped = per_agent = 0
+    for system in [*tables(), *KEY_TABLES.values()]:
+        for epsilon in (Fraction(1, 2), Fraction(1)):
+            config = PredictionConfig(epsilon=epsilon, delta=3, tie_strategy=tie, rng_seed=7)
+            keyed = list(predict._session(system, config))
+            for trial, ground, item in zip(leave_one_out(system, config),
+                                           loo_ground_sizes(system), keyed):
+                grouped += item.pick is not None
+                per_agent += item.pick is None
+                got = (trial.vcs, trial.vc_star, trial.radii, trial.rewards, trial.losses,
+                       trial.winner, trial.weighted, trial.weights_degenerate, trial.regret)
+                assert repr(got) == repr(by_hand(trial, ground, config))
+    assert grouped and per_agent
+
+
+def test_a_nan_decision_scores_as_agent_by_agent():
+    """Only the library route takes a nan decision; the command line refuses
+    it. A nan forecast makes its loss nan, which no radius rewards, and the
+    weighted prediction nan, so every trial's regret is nan too. Scored
+    once per distinct key, the trials keep the agent-by-agent columns."""
+    nan = float("nan")
+    system = key_table(3, [0.5, nan, 1.0], 8, 30)
+    assert repr(system.decisions[system.objects[1]]) == "nan"
+    config = PredictionConfig(delta=3)
+    assert all(t.pick is not None for t in predict._session(system, config))
+    trials = leave_one_out(system, config)
+    for trial, ground in zip(trials, loo_ground_sizes(system)):
+        got = (trial.vcs, trial.vc_star, trial.radii, trial.rewards, trial.losses,
+               trial.winner, trial.weighted, trial.weights_degenerate, trial.regret)
+        assert repr(got) == repr(by_hand(trial, ground, config))
+        assert repr(trial.regret) == "nan"
+    assert repr(trials) == repr(oracle(system, config)[0])
+    assert count_mistakes(predict._session(system, config)) == count_mistakes(trials)
+
+
+def test_a_session_scores_agent_by_agent_after_a_trial_with_too_many_keys():
+    """A session counts each trial's distinct keys until one trial has more
+    than 3/8 of its agents', then scores every later trial agent by agent,
+    including trials whose keys would have repeated enough."""
+    system = key_table(2, [0.0, 0.5], 38, 16)
+    config = PredictionConfig(delta=3)
+    keyed = list(predict._session(system, config))
+    grouped = [t.pick is not None for t in keyed]
+    first = grouped.index(False)
+    assert first > 0 and not any(grouped[first:])
+    assert len(set(keyed[first].keys)) > 0.375 * len(keyed[first].keys)
+    assert any(len(set(t.keys)) <= 0.375 * len(t.keys) for t in keyed[first + 1:])
+    for tie in ("random", "lowest_object_id"):
+        config = PredictionConfig(delta=3, tie_strategy=tie)
+        assert repr(leave_one_out(system, config)) == repr(oracle(system, config)[0])

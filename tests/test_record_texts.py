@@ -10,7 +10,9 @@ run_trial per holdout and json.dumps. The relations (T. Y. Chen,
 S. C. Cheung & S. M. Yiu, "Metamorphic testing: a new approach for
 generating next test cases", HKUST-CS98-01, 1998) hold at any n:
 permuting the feature columns or renaming each feature's values leaves
-every CSV byte equal, and permuting the rows leaves the ledger totals equal.
+every CSV byte equal, and every JSON byte but each trial's omega, which is
+the holdout's permuted or renamed row; permuting the rows leaves the
+ledger totals equal.
 """
 
 import contextlib
@@ -196,11 +198,12 @@ def test_generated_tables_print_the_old_route_bytes(text, config):
 
 
 @st.composite
-def wide_tables(draw):
-    """Up to 400 rows of up to six features over two to four letters, some
-    rows copied, decisions ints or one-decimal floats."""
+def wide_tables(draw, max_rows=400):
+    """Up to max_rows rows of up to six features over two to four letters,
+    some rows copied, decisions ints or one-decimal floats."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    n, features, letters = draw(st.integers(2, 400)), draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    n, features, letters = (draw(st.integers(2, max_rows)), draw(st.integers(1, 6)),
+                            draw(st.integers(2, 4)))
     rows = []
     for i in range(n):
         if i and rng.random() < 0.2:
@@ -223,10 +226,14 @@ PROTOCOLS = [["--delta", "3"], ["--epsilon", "1/2", "--mode", "at_least", "--del
 
 
 def csv_report(text: str, flags) -> str:
+    return report_text(text, [*flags, "--output", "csv"])
+
+
+def report_text(text: str, flags) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         path.write_text(text, encoding="utf-8")
-        code, out = run(["evaluate-loo", str(path), "--output", "csv", *flags])
+        code, out = run(["evaluate-loo", str(path), *flags])
     assert code == 0
     return out
 
@@ -278,3 +285,42 @@ def test_permuting_the_rows_keeps_the_ledger_totals(table, flags):
     shuffled = csv_of(names, [rows[i] for i in order], [decisions[i] for i in order])
     assert ledger_totals(csv_report(shuffled, flags)) == ledger_totals(
         csv_report(csv_of(names, rows, decisions), flags))
+
+
+def omegas_and_rest(text: str) -> tuple[list[list], str]:
+    """Each trial's omega as its (feature, value) pairs in order, and the
+    JSON report without them, written again so that -0.0 stays apart."""
+    report = json.loads(text)
+    omegas = [list(trial.pop("omega").items()) for trial in report["trials"]]
+    return omegas, json.dumps(report, indent=2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_tables(max_rows=30), st.sampled_from(PROTOCOLS))
+def test_json_route_permuting_the_feature_columns_moves_only_omega(table, flags):
+    """Every trial's records, VC*, winner, weighted value and regret, and the
+    mistakes block, are those of the unpermuted table; each omega is the
+    holdout's permuted row."""
+    rng, names, rows, decisions = table
+    order = rng.sample(range(len(names)), len(names))
+    permuted = [[row[j] for j in order] for row in rows]
+    omegas, report = omegas_and_rest(report_text(
+        csv_of([names[j] for j in order], permuted, decisions), flags))
+    want_omegas, want = omegas_and_rest(report_text(csv_of(names, rows, decisions), flags))
+    assert report == want
+    assert omegas == [[(names[j], row[j]) for j in order] for row in rows]
+    assert want_omegas == [list(zip(names, row)) for row in rows]
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_tables(max_rows=30), st.sampled_from(PROTOCOLS))
+def test_json_route_renaming_each_features_values_moves_only_omega(table, flags):
+    rng, names, rows, decisions = table
+    renames = []
+    for j in range(len(names)):
+        values = sorted({row[j] for row in rows})
+        renames.append(dict(zip(values, rng.sample([f"v{j}_{k}" for k in range(9)], len(values)))))
+    renamed = [[renames[j][v] for j, v in enumerate(row)] for row in rows]
+    omegas, report = omegas_and_rest(report_text(csv_of(names, renamed, decisions), flags))
+    assert report == omegas_and_rest(report_text(csv_of(names, rows, decisions), flags))[1]
+    assert omegas == [list(zip(names, row)) for row in renamed]

@@ -10,9 +10,9 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
-from mereovc.cli import _Records, _dumps
+from mereovc.cli import _Records, _dumps, _written
 from mereovc.errors import DomainError
-from mereovc.predict import PredictionConfig, _run_trial, _session
+from mereovc.predict import PredictionConfig, _result, _run_trial, _session
 from mereovc.tables import DecisionSystem
 
 
@@ -90,8 +90,9 @@ AGENT_KEYS = ("id", "touching_size", "vc", "radius", "forecast")
 CONFIG = PredictionConfig(delta=3)
 
 
-def as_dicts(trial) -> list:
+def as_dicts(keyed) -> list:
     """The agent records json.dumps is given: the trial's columns, row by row."""
+    trial = _result(keyed)
     keys, columns = AGENT_KEYS, [
         trial.objects, trial.touching_sizes, trial.vcs, trial.radii, trial.forecasts]
     if trial.rewards is not None:
@@ -118,7 +119,7 @@ def trials_report(system, items, pad=" " * 4):
 
 
 def trials_reference(items):
-    return reference([{"trial": i, "per_object": as_dicts(item[0])}
+    return reference([{"trial": i, "per_object": as_dicts(item)}
                       for i, (item, _) in enumerate(items)])
 
 
@@ -148,7 +149,7 @@ def test_columns_match_json_dumps_of_their_records(system, config):
     """A trial's columns, written as records at three depths, are json.dumps
     of their records; a loss outside the float range is a domain error."""
     for item, holdout in items_of(system, config):
-        rows = as_dicts(item[0])
+        rows = as_dicts(item)
         try:
             want = [reference(rows), reference({"vc_star": 1, "per_object": rows}),
                     reference([{"trial": 0, "per_object": rows}, {"trial": 1}])]
@@ -236,26 +237,27 @@ def _long(column):
 
 
 RAGGED = [
-    ("touching_sizes", _short, 1.0),
-    ("touching_sizes", _long, 1.0),
-    ("rewards", _short, 1.0),
-    ("rewards", _long, 1.0),
-    ("losses", _short, 1.0),
-    ("losses", _long, 1.0),
-    ("touching_sizes", _short, None),
+    ("keys", _short, 1.0),
+    ("keys", _long, 1.0),
+    ("key_rewards", _short, 1.0),
+    ("key_rewards", _long, 1.0),
+    ("key_losses", _short, 1.0),
+    ("key_losses", _long, 1.0),
+    ("keys", _short, None),
 ]
 
 
 @pytest.mark.parametrize("table", RAGGED)
 def test_columns_of_unequal_length_or_count_are_refused(table):
-    """A trial whose columns do not hold one entry per agent is refused,
-    where the maps that read them would stop at the shortest."""
+    """A trial without one key per agent, or without a reward and a loss per
+    distinct key, is refused, where the maps that read them would stop at
+    the shortest."""
     name, change, expert = table
     system = DecisionSystem.from_rows(("x",), [("a",), ("b",), ("a",)], [1.0, 2.0, 3.0])
-    trial, *maps = _run_trial(system, {"x": "a"}, expert, CONFIG)
+    trial = _run_trial(system, {"x": "a"}, expert, CONFIG)
     ragged = trial._replace(**{name: change(getattr(trial, name))})
     with pytest.raises(TypeError, match="per agent"):
-        _Records(system, "  ").trial((ragged, *maps), None)
+        _Records(system, "  ").trial(ragged, None)
 
 
 # Texts are cached per writer and shared by every record it writes: heads
@@ -321,7 +323,7 @@ def test_writer_leaves_nothing_for_the_cyclic_gc():
     items = session_items(system)
     want = reference({
         "config": {"epsilon": "1", "delta": 3},
-        "trials": [{"trial": i, "per_object": as_dicts(item[0])}
+        "trials": [{"trial": i, "per_object": as_dicts(item)}
                    for i, (item, _) in enumerate(items)],
         "mistakes": {"per_trial": [0, 1], "nested": [[1], {"a": []}]},
     })  # json's own indented encoder leaves closures in a cycle, so it runs first
@@ -339,3 +341,15 @@ def test_writer_leaves_nothing_for_the_cyclic_gc():
         if enabled:
             gc.enable()
     assert text == want
+
+
+def test_writer_keeps_each_trials_records_by_reference():
+    """The writer holds each trial's record pieces as the list the report
+    holds, not as a copy, and joins them only when the text is asked for."""
+    system = DecisionSystem.from_rows(("x",), [("a",), ("a",), ("b",)], [0.5, -0.0, 2.5])
+    items = session_items(system)
+    trials = trials_report(system, items)
+    writer = _written(trials)
+    assert len(writer.cuts) == len(trials)
+    assert all(writer.out[cut] is trial["per_object"] for cut, trial in zip(writer.cuts, trials))
+    assert "".join(writer.chunks()) == trials_reference(items)
