@@ -20,7 +20,6 @@ import sys
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
-from statistics import fmean
 from typing import Iterator, Mapping, Optional, Sequence, TextIO
 
 from .errors import DomainError, InputError, UsageError
@@ -30,6 +29,7 @@ from .predict import (
     PredictionConfig,
     _codes,
     _Keyed,
+    _mean,
     _result,
     _run_trial,
     _session,
@@ -550,7 +550,7 @@ def cmd_evaluate_loo(args: argparse.Namespace) -> int:
             "covered_trials": sum(ledger.covered),
             "mistake_free_objects": sorted(ledger.mistake_free_objects),
         },
-        "regret_stats": {"mean": fmean(regrets), "max": max(regrets)},
+        "regret_stats": {"mean": _mean(regrets), "max": max(regrets)},
     }
     _print_json(report)
     return 0
@@ -645,7 +645,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OverflowError:
-        # fmean of finite numbers whose sum leaves the float range
+        # the mean of finite numbers whose sum leaves the float range
         print("error: an intermediate sum overflows the float range", file=sys.stderr)
         return 3
     except OSError as exc:

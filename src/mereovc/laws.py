@@ -13,10 +13,9 @@ suite's own fixed ordering.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import lukasiewicz
 from .errors import UsageError
@@ -41,19 +40,20 @@ from .mereology import (
 MAX_REPORTED_FAILURES = 5
 
 
-@dataclass
-class LawReport:
+class LawReport(NamedTuple):
+    """A law's name, how many argument tuples it was checked on, and its
+    first few counterexamples."""
+
     name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
+    cases: int
+    failures: list[str]
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class LawCase:
+class LawCase(NamedTuple):
     """The argument tuples the laws range over, by arity: single terms,
     pairs and triples of terms, and single collections of terms."""
 
@@ -256,15 +256,18 @@ def _run_table(
     in that field of every case. describe(field, args) writes out a failing
     tuple, and only while the report has room for another counterexample.
     """
-    reports = [LawReport(name) for name, _, _ in table]
+    counts = [0] * len(table)
+    failures = [[] for _ in table]
     for case in cases:
-        for report, (_, field_name, check) in zip(reports, table):
+        for i, (_, field_name, check) in enumerate(table):
             arguments = getattr(case, field_name)
-            report.cases += len(arguments)
+            counts[i] += len(arguments)
+            found = failures[i]
             for args in arguments:
-                if not check(*args) and len(report.failures) < MAX_REPORTED_FAILURES:
-                    report.failures.append(describe(field_name, args))
-    return reports
+                if not check(*args) and len(found) < MAX_REPORTED_FAILURES:
+                    found.append(describe(field_name, args))
+    return [LawReport(name, n, found)
+            for (name, _, _), n, found in zip(table, counts, failures)]
 
 
 def run_law_suite(cases: Iterable[LawCase]) -> list[LawReport]:

@@ -7,10 +7,9 @@ that push rough-inclusion degrees through the algebra's connectives.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, UsageError
 
@@ -76,15 +75,13 @@ def propagate(r, s, connective: Connective):
     return 1 - r
 
 
-@dataclass(frozen=True)
-class TNormViolation:
+class TNormViolation(NamedTuple):
     condition: str
     point: tuple[Real, ...]
     detail: str
 
 
-@dataclass(frozen=True)
-class TNormCheck:
+class TNormCheck(NamedTuple):
     ok: bool
     violation: TNormViolation | None
 

@@ -16,7 +16,6 @@ UniverseMismatchError even if the universes look alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -34,20 +33,20 @@ Atom = Hashable
 Degree = Fraction
 
 
-@dataclass(frozen=True, eq=False)
 class WeightedUniverse:
     """A finite atom set with positive rational weights summing to one.
 
     The weights are kept as a read-only copy, and also as integer masses
     over their common denominator, so that a weight is one integer sum.
-    The atoms are also kept once as a frozenset.
+    The atoms are also kept once as a frozenset. A universe is read-only
+    and equals only itself.
     """
 
-    atoms: tuple[Atom, ...]
-    atom_weights: Mapping[Atom, Fraction]
+    __slots__ = ("atoms", "atom_weights", "_atom_set", "_denominator", "_masses")
 
-    def __post_init__(self):
-        object.__setattr__(self, "atom_weights", MappingProxyType(dict(self.atom_weights)))
+    def __init__(self, atoms: tuple[Atom, ...], atom_weights: Mapping[Atom, Fraction]):
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atom_weights", MappingProxyType(dict(atom_weights)))
         object.__setattr__(self, "_atom_set", frozenset(self.atoms))
         if not self.atoms:
             raise DomainError("a universe needs at least one atom")
@@ -67,6 +66,19 @@ class WeightedUniverse:
         object.__setattr__(self, "_masses", {
             a: w.numerator * (denominator // w.denominator)
             for a, w in self.atom_weights.items()})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"WeightedUniverse(atoms={self.atoms!r}, atom_weights={self.atom_weights!r})"
+
+    def __copy__(self) -> "WeightedUniverse":
+        # copy.copy would set the slots one by one, which __setattr__ refuses
+        return WeightedUniverse(self.atoms, self.atom_weights)
 
     @classmethod
     def uniform(cls, atoms: Iterable[Atom]) -> "WeightedUniverse":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 from operator import not_
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -23,8 +22,7 @@ from .predict import PredictionConfig, TrialResult
 from .tables import DecisionSystem, ObjectId
 
 
-@dataclass(frozen=True)
-class MistakeLedger:
+class MistakeLedger(NamedTuple):
     """Reward misses per agent and per trial across a session."""
 
     per_object_mistakes: Mapping[ObjectId, int]
@@ -66,8 +64,7 @@ def count_mistakes(trials: Iterable[TrialResult]) -> MistakeLedger:
     )
 
 
-@dataclass(frozen=True)
-class LocalizationState:
+class LocalizationState(NamedTuple):
     """One round's outcome: who survived, checked at which radii."""
 
     round: int

@@ -12,16 +12,15 @@ weighted prediction averages all forecasts with VC weights.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from array import array
-from collections import Counter
-from dataclasses import dataclass, fields
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import compress, repeat
 from numbers import Real
 from operator import add, eq, floordiv, index, itemgetter, le, mod, mul, sub
-from statistics import fmean
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
@@ -39,39 +38,52 @@ _LANES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 _GROUPED_SHARE = 0.375
 
 
-@dataclass(frozen=True)
-class PredictionConfig:
-    """Protocol parameters shared by single trials and whole sessions."""
+_Config = namedtuple(
+    "PredictionConfig",
+    "epsilon delta mode tie_strategy rng_seed eta radius_tolerance",
+    defaults=(Fraction(1), 1, "exact", "random", 0, 0.5, 1e-6),
+)
 
-    epsilon: Fraction = Fraction(1)
-    delta: int = 1
-    mode: str = "exact"
-    tie_strategy: str = "random"
-    rng_seed: int = 0
-    eta: float = 0.5
-    radius_tolerance: float = 1e-6
 
-    def __post_init__(self):
-        for field in fields(self):
-            if isinstance(getattr(self, field.name), bool):
-                raise DomainError(f"{field.name} must not be a bool")
-        object.__setattr__(self, "epsilon", _read_epsilon(self.epsilon))
-        if self.tie_strategy == "lowest":
-            object.__setattr__(self, "tie_strategy", "lowest_object_id")
-        if not 0 <= self.epsilon <= 1:
+class PredictionConfig(_Config):
+    """Protocol parameters shared by single trials and whole sessions.
+
+    Construction, also by _make and _replace, refuses a bool in any field,
+    reads epsilon as _read_epsilon does, and maps the tie strategy
+    "lowest" to "lowest_object_id".
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        given = _Config(*args, **kwargs)
+        for name, value in zip(given._fields, given):
+            if isinstance(value, bool):
+                raise DomainError(f"{name} must not be a bool")
+        epsilon, delta, mode, tie_strategy, rng_seed, eta, radius_tolerance = given
+        epsilon = _read_epsilon(epsilon)
+        if tie_strategy == "lowest":
+            tie_strategy = "lowest_object_id"
+        if not 0 <= epsilon <= 1:
             raise DomainError("epsilon must lie in [0, 1]")
-        if not (isinstance(self.delta, int) and self.delta >= 1):
+        if not (isinstance(delta, int) and delta >= 1):
             raise DomainError("delta must be a positive integer")
-        if not isinstance(self.rng_seed, int):
+        if not isinstance(rng_seed, int):
             raise DomainError("rng_seed must be an integer")
-        if self.mode not in ("exact", "at_least"):
+        if mode not in ("exact", "at_least"):
             raise DomainError("mode must be 'exact' or 'at_least'")
-        if self.tie_strategy not in _TIE_STRATEGIES:
+        if tie_strategy not in _TIE_STRATEGIES:
             raise DomainError(f"tie_strategy must be one of {_TIE_STRATEGIES}")
-        if not (isinstance(self.eta, Real) and 0 < self.eta < 1):
+        if not (isinstance(eta, Real) and 0 < eta < 1):
             raise DomainError("eta must be a real number strictly between 0 and 1")
-        if not (isinstance(self.radius_tolerance, Real) and self.radius_tolerance > 0):
+        if not (isinstance(radius_tolerance, Real) and radius_tolerance > 0):
             raise DomainError("radius_tolerance must be a positive real number")
+        return super().__new__(
+            cls, epsilon, delta, mode, tie_strategy, rng_seed, eta, radius_tolerance)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "PredictionConfig":
+        return cls(*iterable)
 
 
 class TrialResult(NamedTuple):
@@ -167,8 +179,15 @@ def _weighted(
     a loop would give different last digits.
     """
     if total == 0:
-        return fmean(forecasts), True
+        return _mean(forecasts), True
     return sum(products) / total, False
+
+
+def _mean(values: Sequence[float]) -> float:
+    """The plain mean of a non-empty sequence, as statistics.fmean gives it:
+    math.fsum of the values over their count. A sum that leaves the float
+    range raises OverflowError."""
+    return math.fsum(values) / len(values)
 
 
 def max_rewarded_loss(trial: TrialResult) -> Optional[float]:

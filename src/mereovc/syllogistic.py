@@ -20,8 +20,8 @@ orientations of the middle term are the classical figures.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections import namedtuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, PremissSyntaxError, UnknownMoodError
 
@@ -34,19 +34,21 @@ _CIRCLES = {
 }
 
 
-@dataclass(frozen=True)
-class Premiss:
+class Premiss(namedtuple("Premiss", "quantifier subject predicate")):
     """A categorical statement Q(subject, predicate)."""
 
-    quantifier: str
-    subject: str
-    predicate: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.quantifier not in QUANTIFIERS:
+    def __new__(cls, quantifier: str, subject: str, predicate: str):
+        if quantifier not in QUANTIFIERS:
             raise DomainError(f"quantifier must be one of {QUANTIFIERS}")
-        if not self.subject or not self.predicate:
+        if not subject or not predicate:
             raise DomainError("terms must be non-empty symbols")
+        return super().__new__(cls, quantifier, subject, predicate)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Premiss":
+        return cls(*iterable)
 
     @property
     def terms(self) -> frozenset[str]:
@@ -56,40 +58,46 @@ class Premiss:
         return f"{self.quantifier}{self.subject}{self.predicate}"
 
 
-@dataclass(frozen=True)
-class Mood:
+class Mood(namedtuple("Mood", "premiss1 premiss2 conclusion")):
     """Two premisses and a conclusion over the term scheme a, b, m."""
 
-    premiss1: Premiss
-    premiss2: Premiss
-    conclusion: Premiss
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.conclusion.subject, self.conclusion.predicate) != ("a", "b"):
+    def __new__(cls, premiss1: Premiss, premiss2: Premiss, conclusion: Premiss):
+        if (conclusion.subject, conclusion.predicate) != ("a", "b"):
             raise DomainError("the conclusion must relate a to b")
-        for p in (self.premiss1, self.premiss2):
+        for p in (premiss1, premiss2):
             if "m" not in p.terms or len(p.terms) != 2:
                 raise DomainError("each premiss must join m with one conclusion term")
-        outer = (self.premiss1.terms | self.premiss2.terms) - {"m"}
-        if outer != {"a", "b"} or self.premiss1.terms == self.premiss2.terms:
+        outer = (premiss1.terms | premiss2.terms) - {"m"}
+        if outer != {"a", "b"} or premiss1.terms == premiss2.terms:
             raise DomainError("a and b must each occur in exactly one premiss")
+        return super().__new__(cls, premiss1, premiss2, conclusion)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Mood":
+        return cls(*iterable)
 
     def as_text(self) -> str:
         return f"{self.premiss1.as_text()} & {self.premiss2.as_text()} -> {self.conclusion.as_text()}"
 
 
-@dataclass(frozen=True)
-class EulerModel:
+class EulerModel(namedtuple("EulerModel", "assignment")):
     """An assignment of terms to non-empty sets of cells 0..6."""
 
-    assignment: Mapping[str, frozenset[int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for term, cells in self.assignment.items():
+    def __new__(cls, assignment: Mapping[str, frozenset[int]]):
+        for term, cells in assignment.items():
             if not cells:
                 raise DomainError(f"term {term!r} denotes the empty collection")
             if not cells <= set(range(CELL_COUNT)):
                 raise DomainError(f"term {term!r} uses cells outside 0..{CELL_COUNT - 1}")
+        return super().__new__(cls, assignment)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "EulerModel":
+        return cls(*iterable)
 
 
 def _holds(quantifier: str, subject_mask: int, predicate_mask: int) -> bool:
@@ -134,7 +142,7 @@ def find_model(premisses: Iterable[Premiss]) -> EulerModel | None:
     for inhabited in range(1, 1 << CELL_COUNT):
         extent = {t: inhabited & _CIRCLES[t] for t in mentioned}
         if all(extent.values()) and all(
-            _holds(p.quantifier, extent[p.subject], extent[p.predicate]) for p in premisses
+            _holds(q, extent[s], extent[p]) for q, s, p in premisses
         ):
             return EulerModel({t: _mask_to_cells(extent[t]) for t in mentioned})
     return None
@@ -143,8 +151,7 @@ def find_model(premisses: Iterable[Premiss]) -> EulerModel | None:
 _CONTRADICTORY = {"A": "O", "O": "A", "I": "E", "E": "I"}
 
 
-@dataclass(frozen=True)
-class MoodVerdict:
+class MoodVerdict(NamedTuple):
     valid: bool
     countermodel: EulerModel | None
 
@@ -209,8 +216,7 @@ def _mood_from_shape(q1: str, pat1: str, q2: str, pat2: str, q3: str) -> Mood:
     )
 
 
-@dataclass(frozen=True)
-class MoodEntry:
+class MoodEntry(NamedTuple):
     figure: int
     mood: Mood
     name: str | None

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -27,32 +26,35 @@ ObjectId = int
 Value = Hashable
 
 
-@dataclass(frozen=True)
-class DecisionSystem:
+class DecisionSystem(namedtuple("DecisionSystem", "objects features rows decisions")):
     """Immutable object/feature/decision table.
 
     Each object holds one value tuple in feature order. Invariants enforced
-    at construction: feature names are unique, every object has a row of
-    one value per feature, and every object carries a decision.
+    at construction, also by _make and _replace: feature names are unique,
+    every object has a row of one value per feature, and every object
+    carries a decision.
     """
 
-    objects: tuple[ObjectId, ...]
-    features: tuple[str, ...]
-    rows: Mapping[ObjectId, tuple[Value, ...]]
-    decisions: Mapping[ObjectId, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.features)) != len(self.features):
+    def __new__(cls, objects: tuple[ObjectId, ...], features: tuple[str, ...],
+                rows: Mapping[ObjectId, tuple[Value, ...]], decisions: Mapping[ObjectId, float]):
+        if len(set(features)) != len(features):
             raise SchemaError("duplicate feature names")
-        if len(set(self.objects)) != len(self.objects):
+        if len(set(objects)) != len(objects):
             raise DomainError("duplicate object ids")
-        if len(self.rows) != len(self.objects):
+        if len(rows) != len(objects):
             raise DomainError("value table is not rectangular")
-        for o in self.objects:
-            if o not in self.decisions:
+        for o in objects:
+            if o not in decisions:
                 raise DomainError(f"object {o} has no decision value")
-            if o not in self.rows or len(self.rows[o]) != len(self.features):
+            if o not in rows or len(rows[o]) != len(features):
                 raise DomainError("value table is not rectangular")
+        return super().__new__(cls, objects, features, rows, decisions)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "DecisionSystem":
+        return cls(*iterable)
 
     @classmethod
     def from_rows(

@@ -67,3 +67,22 @@ def test_the_package_imports_without_the_test_oracle(tmp_path):
     loaded = json.loads(done.stdout)
     assert "mereovc.vc" in loaded
     assert not [m for m in loaded if m.split(".")[0] in ("oracle", "conftest")]
+
+
+def test_the_cli_imports_without_dataclasses_inspect_or_statistics(tmp_path):
+    # a command's start-up is its imports: these three and what they pull
+    # in cost more than the rest of the package, which still loads whole
+    script = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+        "import json, mereovc, mereovc.cli; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", script],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(json.loads(done.stdout))
+    assert not loaded & {"dataclasses", "inspect", "statistics"}
+    modules = ("laws", "syllogistic", "lukasiewicz", "mereology", "predict", "mistakes",
+               "tables", "vc")
+    assert {f"mereovc.{m}" for m in modules} <= loaded

@@ -210,7 +210,7 @@ class TestPredict:
 
     def test_overflowing_plain_mean_is_a_domain_error(self, capsys, tmp_path):
         # every vc is 0 at epsilon 1, so the weighted prediction falls back
-        # to fmean, whose sum of three 1e308 forecasts overflows
+        # to the plain mean, whose fsum of three 1e308 forecasts overflows
         path = tmp_path / "big.csv"
         path.write_text("a,dec\nx,1e308\nx,1e308\nx,1e308\n", encoding="utf-8")
         code, out, err = run(capsys, "predict", str(path), "--omega", "a=y")

@@ -172,7 +172,9 @@ def test_session_builds_no_rest_table_trial_or_agent(monkeypatch):
         raise AssertionError("built per trial")
 
     monkeypatch.setattr(predict, "run_trial", forbidden)
-    monkeypatch.setattr(DecisionSystem, "__post_init__", forbidden)
+    # every DecisionSystem is built through its validating __new__, also by
+    # from_rows, _make and _replace
+    monkeypatch.setattr(DecisionSystem, "__new__", forbidden)
     monkeypatch.setattr(DecisionSystem, "without_object", forbidden)
     assert len(leave_one_out(system)) == len(system.objects)
 
