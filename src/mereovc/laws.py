@@ -2,9 +2,12 @@
 
 Each law is a pointwise check over terms of one universe. Callers supply
 the term tuples (exhaustive for small universes, sampled for larger ones)
-and get back LawReport records with case counts and the first few
-counterexamples. The same suites back the unit tests, the acceptance run
-and the command line selftest.
+as any iterable of cases and get back LawReport records with case counts
+and the first few counterexamples. The suite holds one case at a time, so
+full_selftest draws its sampled universes one by one and memory does not
+grow with their number. An implication law is decided as `not p or q`:
+its consequent is evaluated only where its premise holds. The same suites
+back the unit tests, the acceptance run and the command line selftest.
 
 The weight laws are labelled m1 through m14; these are positions in this
 suite's own fixed ordering.
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import lukasiewicz
@@ -63,10 +66,6 @@ class LawCase(NamedTuple):
     collections: tuple[tuple[tuple[Term, ...]], ...]
 
 
-def _implies(p: bool, q: bool) -> bool:
-    return (not p) or q
-
-
 # Weight laws. Quantifiers range over non-empty terms; derived values such
 # as complements and products may still be empty.
 
@@ -77,16 +76,13 @@ def _m2(x, y):
     return component(x, y) == (alg_product(x, y) == x)
 
 def _m3(x, y):
-    return _implies(x == y, weight(x) == weight(y))
+    return x != y or weight(x) == weight(y)
 
 def _m4(x, y):
     return weight(alg_sum(x, y)) == weight(x) + weight(alg_product(alg_complement(x), y))
 
 def _m5(x, y):
-    return _implies(
-        alg_product(x, y).is_empty,
-        weight(alg_sum(x, y)) == weight(x) + weight(y),
-    )
+    return not alg_product(x, y).is_empty or weight(alg_sum(x, y)) == weight(x) + weight(y)
 
 def _m6(x):
     return weight(x) + weight(alg_complement(x)) == 1
@@ -98,25 +94,19 @@ def _m8(x, y):
     return weight(alg_sum(x, y)) == weight(x) + weight(y) - weight(alg_product(x, y))
 
 def _m9(x, y):
-    return _implies(component(x, y), weight(x) <= weight(y))
+    return not component(x, y) or weight(x) <= weight(y)
 
 def _m10(x, y):
-    return _implies(
-        weight(x) + weight(y) == weight(alg_sum(x, y)),
-        alg_product(x, y).is_empty,
-    )
+    return weight(x) + weight(y) != weight(alg_sum(x, y)) or alg_product(x, y).is_empty
 
 def _m11(x, y):
-    return _implies(component(x, y), weight(implication(x, y)) == 1)
+    return not component(x, y) or weight(implication(x, y)) == 1
 
 def _m12(x, y):
-    return _implies(component(x, y), alg_product(x, alg_complement(y)).is_empty)
+    return not component(x, y) or alg_product(x, alg_complement(y)).is_empty
 
 def _m13(x, y):
-    return _implies(
-        component(y, x),
-        weight(implication(x, y)) == 1 - weight(x) + weight(y),
-    )
+    return not component(y, x) or weight(implication(x, y)) == 1 - weight(x) + weight(y)
 
 def _m14(x, y):
     return weight(implication(x, y)) == 1 - weight(alg_product(x, alg_complement(y)))
@@ -124,10 +114,8 @@ def _m14(x, y):
 def _m13_residuum_form(x, y):
     # With y a component of x the weight of the hook matches the
     # Lukasiewicz implication of the weights.
-    return _implies(
-        component(y, x),
-        weight(implication(x, y)) == min(Fraction(1), 1 - weight(x) + weight(y)),
-    )
+    return not component(y, x) or (
+        weight(implication(x, y)) == min(Fraction(1), 1 - weight(x) + weight(y)))
 
 
 # Part and component theorems plus symmetry facts.
@@ -139,10 +127,10 @@ def _component_reflexive(x):
     return component(x, x)
 
 def _part_asymmetric(x, y):
-    return _implies(proper_part(x, y), not proper_part(y, x))
+    return not proper_part(x, y) or not proper_part(y, x)
 
 def _component_antisymmetric(x, y):
-    return _implies(component(x, y) and component(y, x), x == y)
+    return not (component(x, y) and component(y, x)) or x == y
 
 def _overlap_symmetric(x, y):
     return overlap(x, y) == overlap(y, x)
@@ -154,20 +142,17 @@ def _degree_one_iff_component(x, y):
     return (degree_of_part(x, y) == 1) == component(x, y)
 
 def _part_transitive(x, y, z):
-    return _implies(proper_part(x, y) and proper_part(y, z), proper_part(x, z))
+    return not (proper_part(x, y) and proper_part(y, z)) or proper_part(x, z)
 
 def _component_transitive(x, y, z):
-    return _implies(component(x, y) and component(y, z), component(x, z))
+    return not (component(x, y) and component(y, z)) or component(x, z)
 
 def _relative_exterior_symmetric(x, y, z):
     return relative_exterior(x, y, z) == relative_exterior(y, x, z)
 
 def _degree_monotone_under_full_part(x, y, z):
     # degree(x, y) = 1 forces degree(z, y) >= degree(z, x).
-    return _implies(
-        degree_of_part(x, y) == 1,
-        degree_of_part(z, y) >= degree_of_part(z, x),
-    )
+    return degree_of_part(x, y) != 1 or degree_of_part(z, y) >= degree_of_part(z, x)
 
 
 def _atom_components(x: Term) -> Iterable[Term]:
@@ -326,10 +311,11 @@ def full_selftest(
     if max_atoms < 2:
         raise UsageError(f"max_atoms must be at least 2, not {max_atoms}")
     rng = random.Random(seed)
-    cases = [exhaustive_case(WeightedUniverse.uniform(range(1, atoms + 1)))]
-    for _ in range(random_universes):
-        cases.append(sampled_case(random_universe(rng, max_atoms), rng))
-    reports = run_law_suite(cases)
+    # each case is built when the suite asks for it and freed once checked
+    sampled = (sampled_case(random_universe(rng, max_atoms), rng)
+               for _ in range(random_universes))
+    universe = WeightedUniverse.uniform(range(1, atoms + 1))
+    reports = run_law_suite(chain([exhaustive_case(universe)], sampled))
 
     violation = lukasiewicz.check_t_norm(lukasiewicz.t_norm).violation
     failures = [] if violation is None else [f"{violation.condition} at {violation.point}"]

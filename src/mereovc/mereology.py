@@ -39,7 +39,8 @@ class WeightedUniverse:
     The weights are kept as a read-only copy, and also as integer masses
     over their common denominator, so that a weight is one integer sum.
     The atoms are also kept once as a frozenset. A universe is read-only
-    and equals only itself.
+    and equals only itself, so a copied or unpickled universe is a new
+    universe; terms pickled or deep-copied together share one new universe.
     """
 
     __slots__ = ("atoms", "atom_weights", "_atom_set", "_denominator", "_masses")
@@ -59,13 +60,13 @@ class WeightedUniverse:
                 raise DomainError(f"weight of {a!r} is not a Fraction")
             if w <= 0:
                 raise DomainError(f"weight of {a!r} must be positive")
-        if sum(self.atom_weights.values()) != 1:
-            raise DomainError("atom weights must sum to exactly 1")
         denominator = lcm(*(w.denominator for w in self.atom_weights.values()))
+        masses = {a: w.numerator * (denominator // w.denominator)
+                  for a, w in self.atom_weights.items()}
+        if sum(masses.values()) != denominator:
+            raise DomainError("atom weights must sum to exactly 1")
         object.__setattr__(self, "_denominator", denominator)
-        object.__setattr__(self, "_masses", {
-            a: w.numerator * (denominator // w.denominator)
-            for a, w in self.atom_weights.items()})
+        object.__setattr__(self, "_masses", masses)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -76,9 +77,10 @@ class WeightedUniverse:
     def __repr__(self):
         return f"WeightedUniverse(atoms={self.atoms!r}, atom_weights={self.atom_weights!r})"
 
-    def __copy__(self) -> "WeightedUniverse":
-        # copy.copy would set the slots one by one, which __setattr__ refuses
-        return WeightedUniverse(self.atoms, self.atom_weights)
+    def __reduce__(self):
+        # rebuilt through the constructor, since __setattr__ refuses slot by
+        # slot restores; serves pickle, copy.copy and copy.deepcopy
+        return WeightedUniverse, (self.atoms, dict(self.atom_weights))
 
     @classmethod
     def uniform(cls, atoms: Iterable[Atom]) -> "WeightedUniverse":
@@ -134,11 +136,9 @@ class Term(NamedTuple):
         return f"Term({{{', '.join(map(repr, sorted(self.members, key=repr)))}}})"
 
 
-def _pair(x: Term, y: Term) -> WeightedUniverse:
-    u = x.universe
-    if y.universe is not u:
+def _pair(x: Term, y: Term) -> None:
+    if y.universe is not x.universe:
         raise UniverseMismatchError("terms belong to different universes")
-    return u
 
 
 def _import_required(*terms: Term) -> None:
@@ -149,20 +149,24 @@ def _import_required(*terms: Term) -> None:
 
 def proper_part(x: Term, y: Term) -> bool:
     """Strict containment of a non-empty term. Nothing is part of itself."""
-    _pair(x, y)
+    if y.universe is not x.universe:
+        _pair(x, y)
     return bool(x.members) and x.members < y.members
 
 
 def component(x: Term, y: Term) -> bool:
     """Proper part or equality, for non-empty x."""
-    _pair(x, y)
+    if y.universe is not x.universe:
+        _pair(x, y)
     return bool(x.members) and x.members <= y.members
 
 
 def overlap(x: Term, y: Term) -> bool:
-    _pair(x, y)
-    _import_required(x, y)
-    return bool(x.members & y.members)
+    if y.universe is not x.universe:
+        _pair(x, y)
+    if not x.members or not y.members:
+        _import_required(x, y)
+    return not x.members.isdisjoint(y.members)
 
 
 def exterior(x: Term, y: Term) -> bool:
@@ -197,12 +201,16 @@ def class_of(terms: Iterable[Term]) -> Term:
 
 
 def alg_sum(x: Term, y: Term) -> Term:
-    u = _pair(x, y)
+    u = x.universe
+    if y.universe is not u:
+        _pair(x, y)
     return Term(u, x.members | y.members)
 
 
 def alg_product(x: Term, y: Term) -> Term:
-    u = _pair(x, y)
+    u = x.universe
+    if y.universe is not u:
+        _pair(x, y)
     return Term(u, x.members & y.members)
 
 
@@ -212,7 +220,9 @@ def alg_complement(x: Term) -> Term:
 
 def implication(x: Term, y: Term) -> Term:
     """The term value of x implying y: complement of x joined with y."""
-    u = _pair(x, y)
+    u = x.universe
+    if y.universe is not u:
+        _pair(x, y)
     return Term(u, (u._atom_set - x.members) | y.members)
 
 
@@ -236,8 +246,10 @@ def degree_of_part(x: Term, y: Term) -> Degree:
 
     The common denominator cancels, so the degree is a ratio of masses.
     """
-    u = _pair(x, y)
-    if x.is_empty:
+    u = x.universe
+    if y.universe is not u:
+        _pair(x, y)
+    if not x.members:
         raise UndefinedDegreeError("inclusion degree of the empty term is undefined")
     return Fraction(_mass(u, x.members & y.members), _mass(u, x.members))
 

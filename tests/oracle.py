@@ -15,6 +15,9 @@ decides it from the numbers of touching and other members inside and
 outside S, and vc_count_grid takes the largest shattered split. mereovc.vc
 reads the same number off in one pass, and vc_dimension is that count
 route applied to a family.
+
+check_t_norm_reference is the plain loop that lukasiewicz.check_t_norm's
+whole-row comparisons are held against.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from itertools import combinations
 from typing import FrozenSet, Hashable, Iterable, Mapping, Optional
 
 from mereovc.errors import DomainError, SchemaError, UndefinedDegreeError
+from mereovc.lukasiewicz import grid_points
 from mereovc.tables import Value
 from mereovc.vc import _MODES, vc_count
 
@@ -204,3 +208,31 @@ def extended(omega: Mapping[str, Value], feature: str, value: Value) -> dict[str
     if feature in omega:
         raise SchemaError(f"feature {feature!r} already present")
     return {**omega, feature: value}
+
+
+def check_t_norm_reference(op, grid_step) -> tuple:
+    """The four t-norm conditions of lukasiewicz.check_t_norm, as plain
+    loops that call op at every point: (ok, condition, point) of the
+    first violation, in check_t_norm's order. Values within 1e-9 count as
+    equal, and NaN is within 1e-9 of nothing."""
+    pts = grid_points(grid_step)
+    tolerance = 1e-9
+    for x in pts:
+        for y in pts:
+            if not abs(op(x, y) - op(y, x)) <= tolerance:
+                return False, "commutativity", (x, y)
+    for x in pts:
+        for y in pts:
+            for z in pts:
+                if not abs(op(op(x, y), z) - op(x, op(y, z))) <= tolerance:
+                    return False, "associativity", (x, y, z)
+    for x1, x2 in zip(pts, pts[1:]):
+        for y in pts:
+            if not op(x1, y) <= op(x2, y) + tolerance:
+                return False, "monotonicity", (x1, x2, y)
+    for x in pts:
+        if not abs(op(x, 1.0) - x) <= tolerance:
+            return False, "boundary", (x, 1.0)
+        if not abs(op(x, 0.0)) <= tolerance:
+            return False, "boundary", (x, 0.0)
+    return True, None, None

@@ -1,15 +1,21 @@
 import random
+import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
-from mereovc import laws
+import pytest
+
+from mereovc import laws, lukasiewicz
 from mereovc.laws import (
     MAX_REPORTED_FAILURES,
+    LawReport,
     exhaustive_case,
+    full_selftest,
     random_universe,
     run_law_suite,
     sampled_case,
 )
-from mereovc.mereology import WeightedUniverse, overlap
+from mereovc.mereology import WeightedUniverse, overlap, weight
 
 
 def test_exhaustive_three_atoms_all_green():
@@ -149,3 +155,54 @@ def test_class_requirement_2_is_linear_in_the_atoms_of_the_class(monkeypatch):
     monkeypatch.setattr(laws, "overlap", counted_overlap)
     assert laws._class_requirement_2(COLLECTION_40)
     assert 0 < calls <= 40 * len(COLLECTION_40)
+
+
+def eager_selftest(atoms, random_universes, max_atoms, seed):
+    # full_selftest with every case built up front, in one list
+    rng = random.Random(seed)
+    cases = [exhaustive_case(WeightedUniverse.uniform(range(1, atoms + 1)))]
+    for _ in range(random_universes):
+        cases.append(sampled_case(random_universe(rng, max_atoms), rng))
+    reports = run_law_suite(cases)
+    violation = lukasiewicz.check_t_norm(lukasiewicz.t_norm).violation
+    failures = [] if violation is None else [f"{violation.condition} at {violation.point}"]
+    reports.append(LawReport("t-norm contract", 1, failures))
+    reports.extend(lukasiewicz.formula_identities())
+    return reports
+
+
+SELFTEST_ARGUMENTS = [(2, 0, 2, 0), (2, 30, 3, 4), (3, 25, 6, 1), (4, 12, 12, 9)]
+
+
+@pytest.mark.parametrize("arguments", SELFTEST_ARGUMENTS)
+def test_streamed_selftest_equals_the_eager_one(arguments):
+    reports = full_selftest(*arguments)
+    assert reports == eager_selftest(*arguments)
+    assert all(r.ok for r in reports)
+
+
+def test_streamed_selftest_reports_the_same_counterexamples(monkeypatch):
+    # a false law fails on terms from several sampled universes
+    heavy = ("weight at most one half", "terms", lambda x: weight(x) <= Fraction(1, 2))
+    monkeypatch.setattr(laws, "LAWS", (*laws.LAWS, heavy))
+    reports = full_selftest(2, 40, 5, 3)
+    assert reports == eager_selftest(2, 40, 5, 3)
+    failed = [r for r in reports if not r.ok]
+    assert [r.name for r in failed] == ["weight at most one half"]
+    assert len(failed[0].failures) == MAX_REPORTED_FAILURES
+
+
+def traced_peak(*arguments):
+    tracemalloc.start()
+    try:
+        full_selftest(*arguments)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_selftest_memory_does_not_grow_with_the_sampled_universes():
+    # the sampled cases are built one at a time and freed once checked
+    small = traced_peak(2, 50, 10, 0)
+    large = traced_peak(2, 400, 10, 0)
+    assert large < 1.5 * small, (small, large)

@@ -2,12 +2,14 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from oracle import check_t_norm_reference
 
 from mereovc.errors import DomainError, UsageError
 from mereovc.lukasiewicz import (
     Connective,
     check_t_norm,
+    degree_in_unit_interval,
     formula_identities,
     grid_points,
     implication,
@@ -20,6 +22,8 @@ from mereovc.lukasiewicz import (
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+NAN = float("nan")
 
 
 class TestOperators:
@@ -96,8 +100,156 @@ class TestContractCheck:
             with pytest.raises(UsageError):
                 check_t_norm(min, grid_step=bad)
 
+    def test_an_operator_that_returns_nan_fails(self):
+        # one NaN object per call, and one NaN object shared by every row
+        for op in (lambda x, y: float("nan"), lambda x, y: NAN):
+            result = check_t_norm(op, Fraction(1, 8))
+            assert not result.ok
+            assert result.violation.condition == "commutativity"
+            assert result.violation.point == (0.0, 0.0)
+
+    def test_an_operator_that_returns_nan_or_inf_at_one_point_fails(self):
+        # equal rows that hold such a value must still be checked point by point
+        for bad in (NAN, float("inf")):
+            op = lambda x, y, bad=bad: bad if (x, y) == (0.5, 0.5) else min(x, y)
+            result = check_t_norm(op, Fraction(1, 4))
+            assert not result.ok
+            assert (result.violation.condition, result.violation.point) == (
+                "commutativity", (0.5, 0.5))
+
+
+def _drastic(x, y):
+    return y if x == 1.0 else x if y == 1.0 else 0.0
+
+
+# Operators for the check against the plain loop; the perturbed ones take
+# the grid and draw their points from it.
+PLAIN_OPS = {
+    "lukasiewicz": t_norm,
+    "minimum": min,
+    "product": lambda x, y: x * y,
+    "drastic": _drastic,
+    "maximum": max,
+    "mean": lambda x, y: (x + y) / 2,
+    "off grid": lambda x, y: min(x, y) * 0.9 + 0.1 * x * y,
+}
+
+
+def _perturbed(points, by):
+    return lambda x, y: t_norm(x, y) + (by if (x, y) in points else 0.0)
+
+
+def _replaced(points, value):
+    return lambda x, y: value if (x, y) in points else t_norm(x, y)
+
+
+def _moved(point, value):
+    # still commutative, so associativity is checked on on-grid values
+    return _replaced({point, point[::-1]}, value)
+
+
+@st.composite
+def t_norm_candidates(draw):
+    denominator = draw(st.integers(4, 16))
+    pts = grid_points(Fraction(1, denominator))
+    point = st.tuples(st.sampled_from(pts), st.sampled_from(pts))
+    kind = draw(st.sampled_from(
+        [*PLAIN_OPS, "within tolerance", "off by 1e-6", "one nan", "one inf", "moved",
+         "grid table"]))
+    if kind in PLAIN_OPS:
+        op = PLAIN_OPS[kind]
+    elif kind == "within tolerance":
+        op = _perturbed(draw(st.sets(point, min_size=1, max_size=12)), 1e-12)
+    elif kind == "off by 1e-6":
+        op = _perturbed({draw(point)}, 1e-6)
+    elif kind == "moved":
+        op = _moved(draw(point), draw(st.sampled_from(pts)))
+    elif kind == "grid table":
+        # any commutative operator with every value on the grid
+        table = {}
+        for i, x in enumerate(pts):
+            for y in pts[i:]:
+                table[x, y] = table[y, x] = draw(st.sampled_from(pts))
+        op = lambda x, y: table[x, y]
+    else:
+        op = _replaced({draw(point)}, NAN if kind == "one nan" else float("inf"))
+    return kind, Fraction(1, denominator), op
+
+
+class TestContractCheckAgainstPlainLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(t_norm_candidates())
+    # fails associativity first at (0, 0, 1), in the last column of a row
+    @example(("moved", Fraction(1, 4), _moved((0.0, 1.0), 0.25)))
+    def test_same_verdict_as_the_plain_loops(self, candidate):
+        kind, step, op = candidate
+        result = check_t_norm(op, step)
+        violation = result.violation
+        got = (result.ok, *((None, None) if violation is None else violation[:2]))
+        assert got == check_t_norm_reference(op, step)
+        if kind in ("lukasiewicz", "minimum", "product", "drastic", "within tolerance"):
+            assert result.ok, kind
+        if kind in ("maximum", "mean", "one nan", "one inf"):
+            assert not result.ok, kind
+
+    def test_perturbed_rows_fall_back_to_the_tolerance_loop(self):
+        # every row differs exactly from the one it is checked against, yet
+        # no value is off by more than 1e-9
+        points = {(x, y) for x in grid_points(Fraction(1, 8)) for y in (0.25, 0.75)}
+        op = _perturbed(points, 1e-12)
+        assert check_t_norm(op, Fraction(1, 8)).ok
+        assert check_t_norm_reference(op, Fraction(1, 8)) == (True, None, None)
+
+
+def _rejected(value) -> bool:
+    try:
+        degree_in_unit_interval(value)
+    except DomainError:
+        return True
+    return False
+
+
+RULES = {
+    Connective.SUM: lambda r, s: max(r, s),
+    Connective.STRONG_SUM: lambda r, s: min(1, r + s),
+    Connective.PRODUCT: lambda r, s: min(r, s),
+    Connective.STRONG_PRODUCT: lambda r, s: max(0, r + s - 1),
+    Connective.IMPLICATION: lambda r, s: max(0, r + s - 1),
+    Connective.NEGATION: lambda r, s: 1 - r,
+}
+
+degrees = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 1.0, NAN, float("inf"), float("-inf")]),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.fractions(min_value=-1, max_value=2, max_denominator=12),
+    st.decimals(places=2),
+    st.sampled_from([Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity")]),
+    st.none(),
+    st.text(max_size=3),
+)
+
 
 class TestPropagation:
+    @given(degrees, degrees,
+           st.sampled_from([*Connective, *(c.value for c in Connective)]))
+    def test_rejects_exactly_what_the_degree_check_rejects(self, r, s, connective):
+        c = Connective(connective)
+        read = (r,) if c is Connective.NEGATION else (r, s)
+        if any(_rejected(v) for v in read):
+            with pytest.raises(DomainError):
+                propagate(r, s, connective)
+            return
+        try:
+            want = RULES[c](r, s)
+        except TypeError as error:  # Decimal does not mix with float or Fraction
+            with pytest.raises(type(error)):
+                propagate(r, s, connective)
+            return
+        got = propagate(r, s, connective)
+        assert (type(got), repr(got)) == (type(want), repr(want))
+
     def test_rule_table(self):
         assert propagate(0.3, 0.8, Connective.SUM) == 0.8
         assert propagate(0.3, 0.8, Connective.STRONG_SUM) == pytest.approx(1.0)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -63,6 +65,41 @@ class TestUniverseConstruction:
     def test_all_terms_counts(self):
         assert sum(1 for _ in U4.all_terms()) == 15
         assert sum(1 for _ in U4.all_terms(include_empty=True)) == 16
+
+
+class TestCopies:
+    """A copied or unpickled universe is a new universe with the same atoms
+    and weights; terms copied together share one new universe."""
+
+    @staticmethod
+    def assert_new_universe(original, terms, copies):
+        new = copies[0].universe
+        assert new is not original
+        assert all(t.universe is new for t in copies)
+        assert new.atoms == original.atoms
+        assert dict(new.atom_weights) == dict(original.atom_weights)
+        assert [t.members for t in copies] == [t.members for t in terms]
+        assert weight(copies[1]) == weight(terms[1])
+        assert degree_of_part(copies[1], copies[2]) == degree_of_part(terms[1], terms[2])
+
+    def test_pickled_terms_share_one_new_universe(self):
+        terms = [T(LOPSIDED, "a"), T(LOPSIDED, "bc"), T(LOPSIDED, "ac"), LOPSIDED.empty]
+        copies = pickle.loads(pickle.dumps(terms))
+        self.assert_new_universe(LOPSIDED, terms, copies)
+        with pytest.raises(UniverseMismatchError):
+            alg_sum(copies[0], terms[0])
+        with pytest.raises(AttributeError):
+            copies[0].universe.atoms = ()
+
+    def test_deepcopied_terms_share_one_new_universe(self):
+        terms = [T(U4, "ab"), T(U4, "bcd"), T(U4, "a")]
+        self.assert_new_universe(U4, terms, copy.deepcopy(terms))
+
+    def test_copy_and_pickle_of_a_universe(self):
+        for duplicate in (copy.copy(U4), copy.deepcopy(U4), pickle.loads(pickle.dumps(U4))):
+            assert duplicate is not U4 and duplicate != U4
+            assert repr(duplicate) == repr(U4)
+            assert duplicate.term("ab").universe is duplicate
 
 
 class TestRelations:
