@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, islice, starmap
+from operator import not_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import lukasiewicz
@@ -158,8 +159,8 @@ def _degree_monotone_under_full_part(x, y, z):
 def _atom_components(x: Term) -> Iterable[Term]:
     """The single-atom components of x. Every non-empty component of x
     holds one of them, so they decide a law over all components of x."""
-    u = x.universe
-    return (Term(u, frozenset((atom,))) for atom in x.members)
+    u, mask = x
+    return (Term._make((u, 1 << i)) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _component_axiom(a, b):
@@ -238,8 +239,9 @@ def _run_table(
     """One report per row of table, in table order.
 
     A row is (name, field, check): check is called with each argument tuple
-    in that field of every case. describe(field, args) writes out a failing
-    tuple, and only while the report has room for another counterexample.
+    in that field of every case, every one of them, and an exception it
+    raises propagates. describe(field, args) writes out a failing tuple, and
+    only while the report has room for another counterexample.
     """
     counts = [0] * len(table)
     failures = [[] for _ in table]
@@ -247,10 +249,11 @@ def _run_table(
         for i, (_, field_name, check) in enumerate(table):
             arguments = getattr(case, field_name)
             counts[i] += len(arguments)
-            found = failures[i]
-            for args in arguments:
-                if not check(*args) and len(found) < MAX_REPORTED_FAILURES:
-                    found.append(describe(field_name, args))
+            verdicts = list(starmap(check, arguments))
+            if not all(verdicts):
+                failing = compress(arguments, map(not_, verdicts))
+                room = MAX_REPORTED_FAILURES - len(failures[i])
+                failures[i] += [describe(field_name, args) for args in islice(failing, room)]
     return [LawReport(name, n, found)
             for (name, _, _), n, found in zip(table, counts, failures)]
 
@@ -278,17 +281,21 @@ def exhaustive_case(universe: WeightedUniverse) -> LawCase:
 def sampled_case(universe: WeightedUniverse, rng: random.Random) -> LawCase:
     """Four random terms, four pairs, four triples and two collections of
     one to three terms, drawn from rng in that order."""
-    atoms = sorted(universe.atoms, key=repr)
+    atoms = universe.atoms
+    # bit i stands for atoms[i]; sampled in the order of the atoms' reprs
+    bits = [1 << i for i in sorted(range(len(atoms)), key=lambda i: repr(atoms[i]))]
 
     def pick() -> Term:
-        size = rng.randint(1, len(atoms))
-        return universe.term(rng.sample(atoms, size))
+        size = rng.randint(1, len(bits))
+        return Term._make((universe, sum(rng.sample(bits, size))))
 
+    # tuples from lists, not generators: a tuple grown from a generator is
+    # resized past the tuple free lists yet freed onto them, so they would grow
     return LawCase(
-        tuple((pick(),) for _ in range(4)),
-        tuple((pick(), pick()) for _ in range(4)),
-        tuple((pick(), pick(), pick()) for _ in range(4)),
-        tuple((tuple(pick() for _ in range(rng.randint(1, 3))),) for _ in range(2)),
+        tuple([(pick(),) for _ in range(4)]),
+        tuple([(pick(), pick()) for _ in range(4)]),
+        tuple([(pick(), pick(), pick()) for _ in range(4)]),
+        tuple([(tuple([pick() for _ in range(rng.randint(1, 3))]),) for _ in range(2)]),
     )
 
 

@@ -55,8 +55,9 @@ def propagate(r, s, connective: Connective):
     """Degree of a compound part given the degrees of its arguments.
 
     Works on floats and on Fractions alike; only order, addition and
-    subtraction are used. For NEGATION the second argument is ignored
-    and may be None.
+    subtraction are used. Two degrees that do not add, such as a Decimal
+    and a float, raise DomainError where the rule adds them. For NEGATION
+    the second argument is ignored and may be None.
     """
     try:
         c = connective if type(connective) is Connective else Connective(connective)
@@ -68,13 +69,18 @@ def propagate(r, s, connective: Connective):
         degree_in_unit_interval(s)
     if c is Connective.SUM:
         return max(r, s)
-    if c is Connective.STRONG_SUM:
-        return min(1, r + s)
     if c is Connective.PRODUCT:
         return min(r, s)
-    if c in (Connective.STRONG_PRODUCT, Connective.IMPLICATION):
-        return max(0, r + s - 1)
-    return 1 - r
+    if c is Connective.NEGATION:
+        return 1 - r
+    try:
+        total = r + s
+    except TypeError:  # a Decimal with a float or a Fraction
+        raise DomainError(f"degrees of types {type(r).__name__} and "
+                          f"{type(s).__name__} do not add") from None
+    if c is Connective.STRONG_SUM:
+        return min(1, total)
+    return max(0, total - 1)
 
 
 class TNormViolation(NamedTuple):
@@ -183,17 +189,13 @@ def formula_identities(grid_step: Fraction = Fraction(1, 64)):
 
     tolerance = 1e-9
 
-    forms = (
-        (Connective.SUM, weak_or),
-        (Connective.STRONG_SUM, s_norm),
-        (Connective.PRODUCT, weak_and),
-        (Connective.STRONG_PRODUCT, t_norm),
-        (Connective.IMPLICATION, t_norm),
-        (Connective.NEGATION, lambda p, q: negation(p)),
-    )
-
     def closed_forms(p, q):
-        return all(abs(propagate(p, q, c) - form(p, q)) <= tolerance for c, form in forms)
+        return (abs(propagate(p, q, Connective.SUM) - weak_or(p, q)) <= tolerance
+                and abs(propagate(p, q, Connective.STRONG_SUM) - s_norm(p, q)) <= tolerance
+                and abs(propagate(p, q, Connective.PRODUCT) - weak_and(p, q)) <= tolerance
+                and abs(propagate(p, q, Connective.STRONG_PRODUCT) - t_norm(p, q)) <= tolerance
+                and abs(propagate(p, q, Connective.IMPLICATION) - t_norm(p, q)) <= tolerance
+                and abs(propagate(p, q, Connective.NEGATION) - negation(p)) <= tolerance)
 
     identities = (
         ("negation via implication to zero", "points",

@@ -9,7 +9,8 @@ countermodel built from any sets collapses, element by element, to its
 pattern of inhabited regions, and the truth of every categorical premiss
 depends only on that pattern, so one of the 127 non-empty patterns
 reproduces it. All terms carry existential import, so no term ever
-denotes the empty collection.
+denotes the empty collection. A and E say that the inhabited cells avoid
+a region, I and O that they meet one, and import that they meet a circle.
 
 Moods follow a fixed scheme: the conclusion relates subject a to
 predicate b, the middle term m appears in both premisses, the first
@@ -132,19 +133,24 @@ def find_model(premisses: Iterable[Premiss]) -> EulerModel | None:
     Every premiss must relate two distinct symbols from {a, b, m}. The
     search tries the 127 patterns of inhabited regions in ascending order
     and returns the first in which every mentioned term is non-empty and
-    every premiss holds.
+    every premiss holds, each read as a region to avoid or to meet.
     """
     premisses = tuple(premisses)
     for p in premisses:
         if not p.terms <= _CIRCLES.keys() or len(p.terms) != 2:
             raise DomainError(f"premiss {p.as_text()} is not over two of a, b, m")
     mentioned = [t for t in _CIRCLES if any(t in p.terms for p in premisses)]
+    # a premiss's region: the subject's cells inside (E, I) or outside (A, O) the predicate
+    avoid, meet = 0, [_CIRCLES[t] for t in mentioned]
+    for q, s, p in premisses:
+        region = _CIRCLES[s] & (_CIRCLES[p] if q in "EI" else ~_CIRCLES[p])
+        if q in "AE":
+            avoid |= region
+        else:
+            meet.append(region)
     for inhabited in range(1, 1 << CELL_COUNT):
-        extent = {t: inhabited & _CIRCLES[t] for t in mentioned}
-        if all(extent.values()) and all(
-            _holds(q, extent[s], extent[p]) for q, s, p in premisses
-        ):
-            return EulerModel({t: _mask_to_cells(extent[t]) for t in mentioned})
+        if not inhabited & avoid and all(inhabited & r for r in meet):
+            return EulerModel({t: _mask_to_cells(inhabited & _CIRCLES[t]) for t in mentioned})
     return None
 
 

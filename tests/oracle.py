@@ -17,7 +17,9 @@ reads the same number off in one pass, and vc_dimension is that count
 route applied to a family.
 
 check_t_norm_reference is the plain loop that lukasiewicz.check_t_norm's
-whole-row comparisons are held against.
+whole-row comparisons are held against, and find_model_reference the
+premiss-by-premiss search that syllogistic.find_model's regions are held
+against.
 """
 
 from __future__ import annotations
@@ -29,6 +31,13 @@ from typing import FrozenSet, Hashable, Iterable, Mapping, Optional
 
 from mereovc.errors import DomainError, SchemaError, UndefinedDegreeError
 from mereovc.lukasiewicz import grid_points
+from mereovc.syllogistic import (
+    _CIRCLES,
+    CELL_COUNT,
+    EulerModel,
+    _holds,
+    _mask_to_cells,
+)
 from mereovc.tables import Value
 from mereovc.vc import _MODES, vc_count
 
@@ -236,3 +245,19 @@ def check_t_norm_reference(op, grid_step) -> tuple:
         if not abs(op(x, 0.0)) <= tolerance:
             return False, "boundary", (x, 0.0)
     return True, None, None
+
+
+def find_model_reference(premisses):
+    """syllogistic.find_model as a test of each premiss on the extents of
+    its terms, pattern by pattern: the first of the 127 inhabited-region
+    patterns, in ascending order, in which every mentioned term is
+    non-empty and every premiss holds, or None. Premisses must be over two
+    of a, b, m."""
+    mentioned = [t for t in _CIRCLES if any(t in p.terms for p in premisses)]
+    for inhabited in range(1, 1 << CELL_COUNT):
+        extent = {t: inhabited & _CIRCLES[t] for t in mentioned}
+        if all(extent.values()) and all(
+            _holds(q, extent[s], extent[p]) for q, s, p in premisses
+        ):
+            return EulerModel({t: _mask_to_cells(extent[t]) for t in mentioned})
+    return None

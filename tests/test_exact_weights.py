@@ -2,6 +2,7 @@
 they replaced, which stays here as the oracle."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,11 +19,15 @@ from mereovc.mereology import (
 
 
 def oracle_weight(x):
-    return sum((x.universe.atom_weights[a] for a in x.members), Fraction(0))
+    return _fraction_sum(x.universe, x.members)
 
 
 def oracle_degree_of_part(x, y):
-    return oracle_weight(alg_product(x, y)) / oracle_weight(x)
+    return _fraction_sum(x.universe, x.members & y.members) / oracle_weight(x)
+
+
+def _fraction_sum(universe, atoms):
+    return sum((universe.atom_weights[a] for a in atoms), Fraction(0))
 
 
 def oracle_check_t_norm(op, grid_step):
@@ -58,16 +63,25 @@ def oracle_check_t_norm(op, grid_step):
     return TNormCheck(True, None)
 
 
+# atoms of mixed types; equal atoms such as 1 and True are drawn once
+ATOMS = st.one_of(
+    st.integers(-5, 40), st.text("ab", max_size=2), st.tuples(st.integers(0, 2)),
+    st.none(), st.booleans(), st.frozensets(st.integers(0, 1)),
+)
+
+
 @st.composite
 def universes_with_terms(draw):
-    """A universe whose weights have unlike denominators, and two terms."""
-    n = draw(st.integers(1, 7))
+    """A universe of 1 to 20 atoms of mixed types, so that a weight may read
+    up to three mass tables, with weights of unlike denominators, and two
+    terms."""
+    atoms = tuple(draw(st.lists(ATOMS, min_size=1, max_size=20, unique=True)))
     raw = draw(st.lists(
         st.fractions(min_value=Fraction(1, 97), max_value=1, max_denominator=97),
-        min_size=n, max_size=n))
+        min_size=len(atoms), max_size=len(atoms)))
     total = sum(raw)
-    universe = WeightedUniverse(tuple(range(n)), {a: w / total for a, w in enumerate(raw)})
-    x, y = (universe.term(draw(st.sets(st.integers(0, n - 1)))) for _ in range(2))
+    universe = WeightedUniverse(atoms, {a: w / total for a, w in zip(atoms, raw)})
+    x, y = (universe.term(draw(st.sets(st.sampled_from(atoms)))) for _ in range(2))
     return universe, x, y
 
 
@@ -78,6 +92,22 @@ def test_weight_and_degree_equal_the_fraction_sums(case):
         assert repr(weight(term)) == repr(oracle_weight(term))
     if not x.is_empty:
         assert repr(degree_of_part(x, y)) == repr(oracle_degree_of_part(x, y))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 20])
+def test_every_term_of_a_run_of_atoms_reads_its_own_mass_table(n):
+    # masses 1, 2, 4, ...: each subset of atoms has its own weight, and a
+    # term whose low eight atoms are absent reads only the higher tables
+    universe = WeightedUniverse.from_counts({f"atom {i}": 1 << i for i in range(n)})
+    atoms = universe.atoms
+    for start in range(0, n, 8):
+        run = atoms[start:start + 8]
+        for size in range(len(run) + 1):
+            for members in combinations(run, size):
+                for extra in ((), atoms[-1:], atoms[:1]):
+                    term = universe.term(members + extra)
+                    assert weight(term) == oracle_weight(term)
+    assert weight(universe.universe) == 1 and weight(universe.empty) == 0
 
 
 def _swap(v):

@@ -61,6 +61,37 @@ def test_report_caps_recorded_failures(monkeypatch):
     assert report.failures == [f"x={t!r}" for t in universe.all_terms()][:MAX_REPORTED_FAILURES]
 
 
+def test_every_check_runs_on_every_tuple_after_the_report_is_full(monkeypatch):
+    calls = []
+
+    def always_false(x, y):
+        calls.append((x, y))
+        return False
+
+    monkeypatch.setattr(laws, "LAWS", (("always false", "pairs", always_false),))
+    universe = WeightedUniverse.uniform("abc")
+    (report,) = run_law_suite([exhaustive_case(universe), exhaustive_case(universe)])
+    assert len(calls) == report.cases == 2 * 7 ** 2
+    assert calls == 2 * [(x, y) for x in universe.all_terms() for y in universe.all_terms()]
+    assert len(report.failures) == MAX_REPORTED_FAILURES
+
+
+def test_an_exception_from_a_later_tuple_propagates(monkeypatch):
+    calls = 0
+
+    def fails_then_raises(x):
+        nonlocal calls
+        calls += 1
+        if calls == 2 * MAX_REPORTED_FAILURES:
+            raise ZeroDivisionError("raised on a tuple after the report is full")
+        return False
+
+    monkeypatch.setattr(laws, "LAWS", (("raises late", "terms", fails_then_raises),))
+    with pytest.raises(ZeroDivisionError, match="after the report is full"):
+        run_law_suite([exhaustive_case(WeightedUniverse.uniform("abcd"))])
+    assert calls == 2 * MAX_REPORTED_FAILURES
+
+
 def test_every_case_count_is_positive():
     reports = run_law_suite([exhaustive_case(WeightedUniverse.uniform("abcd"))])
     assert all(r.cases > 0 for r in reports)

@@ -243,8 +243,8 @@ class TestPropagation:
             return
         try:
             want = RULES[c](r, s)
-        except TypeError as error:  # Decimal does not mix with float or Fraction
-            with pytest.raises(type(error)):
+        except TypeError:  # Decimal does not add to a float or a Fraction
+            with pytest.raises(DomainError, match="do not add"):
                 propagate(r, s, connective)
             return
         got = propagate(r, s, connective)
@@ -291,6 +291,20 @@ class TestPropagation:
         assert propagate(Decimal("0.25"), Fraction(1, 2), "sum") == Fraction(1, 2)
         assert propagate(Decimal("0.75"), None, "negation") == Decimal("0.25")
         assert propagate(0.25, 0.5, "product") == 0.25
+
+    @pytest.mark.parametrize("r, s, types", [
+        (Decimal("0.5"), Fraction(1, 2), "Decimal and Fraction"),
+        (Fraction(1, 2), Decimal("0.5"), "Fraction and Decimal"),
+        (Decimal("0.5"), 0.25, "Decimal and float"),
+        (0.25, Decimal("0.5"), "float and Decimal"),
+    ])
+    def test_degrees_that_do_not_add_are_a_domain_error(self, r, s, types):
+        for connective in ("strong_sum", "strong_product", "implication"):
+            with pytest.raises(DomainError, match=f"degrees of types {types} do not add"):
+                propagate(r, s, connective)
+        assert propagate(r, s, "sum") == max(r, s)
+        assert propagate(r, s, "product") == min(r, s)
+        assert propagate(r, s, "negation") == 1 - r
 
     @given(unit, unit)
     def test_sum_dominates_product(self, r, s):

@@ -1,6 +1,6 @@
-"""Tuple terms, the universe's cached atom set and one-expression
-implication, against the dataclass terms and frozenset-rebuilding
-operations they replaced, which stay here as the oracle."""
+"""Mask terms, one integer operation per Boolean operation and relation,
+against the dataclass terms and frozenset operations they replaced, which
+stay here as the oracle."""
 
 from dataclasses import dataclass
 from itertools import product
@@ -124,13 +124,13 @@ BINARY = [
 
 
 def outcome(op, *args):
-    """A term's members, another value's repr, or the error's type."""
+    """A term's universe and members, another value's repr, or the error's type."""
     try:
         value = op(*args)
     except DomainError as error:
         return type(error)
     if isinstance(value, (Term, OldTerm)):
-        return value.members
+        return value.universe, value.members
     return repr(value)
 
 
@@ -203,25 +203,33 @@ def test_degree_of_an_empty_term_is_undefined():
 
 def test_hot_operations_build_no_frozenset_and_implication_one_term(monkeypatch):
     u = WeightedUniverse.uniform("abcd")
-    x, y = u.term("ab"), u.term("bc")
-    frozensets, terms = [], []
+    x, y, z = u.term("ab"), u.term("bc"), u.term("abc")
+    frozensets, tuples = [], []
 
     def counting_frozenset(*args):
         frozensets.append(args)
         return frozenset(*args)
 
-    def counting_term(*args):
-        terms.append(args)
-        return Term(*args)
+    def counting_new(*args):
+        tuples.append(args)
+        return tuple.__new__(*args)
 
+    # Term(universe, members) would build a frozenset of its members
     monkeypatch.setattr(mereology, "frozenset", counting_frozenset, raising=False)
-    monkeypatch.setattr(mereology, "Term", counting_term)
-    assert alg_complement(x).members == {"c", "d"}
-    assert is_valid(u.universe) and not is_valid(x)
-    terms.clear()
-    hook = implication(x, y)
-    assert (hook, frozensets) == (Term(u, frozenset("bcd")), [])
-    assert terms == [(u, frozenset("bcd"))]
+    monkeypatch.setattr(mereology, "_new", counting_new)
+    values = [
+        alg_sum(x, y), alg_product(x, y), alg_complement(x), implication(x, y),
+        mereology.class_of([x, y]), is_valid(x), proper_part(x, y), component(x, y),
+        overlap(x, y), exterior(x, y), relative_exterior(x, y, z),
+        weight(x), degree_of_part(x, y), u.empty, u.universe,
+    ]
+    assert frozensets == []
+    assert [args[0] for args in tuples] == [Term] * 7
+    assert [args[1][1] for args in tuples] == [0b0111, 0b0010, 0b1100, 0b1110, 0b0111, 0, 0b1111]
+    assert all(type(t) is Term and t.universe is u for t in values[:5])
+    tuples.clear()
+    assert implication(x, y).members == {"b", "c", "d"}
+    assert tuples == [(Term, (u, 0b1110))]
 
 
 A = WeightedUniverse.uniform("abc")
@@ -245,7 +253,14 @@ def test_look_alike_universes_give_unequal_terms_with_one_repr():
     assert repr(A.empty) == "Term({})"
 
 
-def test_a_term_is_the_pair_of_its_universe_and_members():
+def test_a_term_is_the_pair_of_its_universe_and_mask():
+    # bit i stands for atoms[i]; the members are decoded when read
     x = A.term("ca")
-    assert x == (A, frozenset("ac"))
-    assert hash(x) == hash((A, frozenset("ac")))
+    assert tuple(x) == (x.universe, x.mask) == (A, 0b101)
+    assert x.members == frozenset("ac")
+    assert x != (A, frozenset("ac"))
+    assert x == Term(A, "ac") == Term._make((A, 0b101))
+    assert hash(x) == hash(Term._make((A, 0b101)))
+    assert Term(A, []) == A.empty and Term(A, "abc") == A.universe
+    with pytest.raises(DomainError, match=r"atoms not in this universe: \['d'\]"):
+        Term(A, "ad")
